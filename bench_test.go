@@ -2,6 +2,7 @@ package opaquebench_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -136,9 +137,11 @@ func BenchmarkExtStream(b *testing.B) {
 //
 //	go test -bench=Campaign10k -benchtime=1x
 //
-// On an N-core host the runner is expected to approach Nx for workers <= N
-// (the ≥2x-at-4-workers target of the runner subsystem); on a single core
-// it only pays the small sharding overhead.
+// The design has 16 distinct points, each replicated 625 times, and the
+// engines of one membench.Factory share a kernel memo, so the campaign
+// simulates each kernel about once per run. These benches therefore
+// measure the runner, the per-trial noise and record path, and the memo
+// lookup, not memsim; BenchmarkStreamI7Ladder is the memsim rung.
 
 func campaign10k(tb testing.TB) (*doe.Design, core.EngineFactory) {
 	tb.Helper()
@@ -184,6 +187,40 @@ func benchCampaignParallel(b *testing.B, workers int) {
 func BenchmarkCampaign10kParallel2(b *testing.B) { benchCampaignParallel(b, 2) }
 func BenchmarkCampaign10kParallel4(b *testing.B) { benchCampaignParallel(b, 4) }
 func BenchmarkCampaign10kParallel8(b *testing.B) { benchCampaignParallel(b, 8) }
+
+// BenchmarkStreamI7Ladder is the direct memsim rung: one op runs the sum
+// kernel of the benchmark's mem-cold workload (Core i7, 4-byte elements,
+// 100 loops) over its six sizes from 4 KB to 4 MB, each on a flushed
+// hierarchy as an indexed trial sees it, calling memsim.RunStream directly
+// so no kernel memo is involved. Stride 1 puts 16 loads on each 64-byte
+// line and exercises the line-granular stream; stride 16 makes one load
+// per line and bypasses it.
+func BenchmarkStreamI7Ladder(b *testing.B) {
+	sizes := []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
+	m := memsim.CoreI7()
+	for _, stride := range []int{1, 16} {
+		b.Run(fmt.Sprintf("stride=%d", stride), func(b *testing.B) {
+			h, err := m.NewHierarchy()
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf, err := memsim.NewContiguousAllocator(m.PageBytes).Alloc(sizes[len(sizes)-1])
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, size := range sizes {
+					h.Flush()
+					p := memsim.KernelParams{SizeBytes: size, Stride: stride, ElemBytes: 4, NLoops: 100}
+					if _, err := memsim.RunStream(m, h, []*memsim.Buffer{buf}, p, memsim.StreamSum); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
 
 // TestParallelSpeedupAt4Workers measures the 10k-trial campaign serially
 // and at 4 workers. Sibling test binaries share the host's cores, so a

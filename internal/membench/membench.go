@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"strings"
+	"sync"
 
 	"opaquebench/internal/core"
 	"opaquebench/internal/cpusim"
@@ -153,6 +154,9 @@ type Engine struct {
 	idxNoise   *rand.Rand
 	freqStr    string
 	extraCache map[extraKey]map[string]string
+	// memo serves repeated kernels of indexed trials; engines built by one
+	// Factory share it.
+	memo *kernelMemo
 }
 
 // extraKey identifies one distinct annotation set of an indexed trial.
@@ -215,6 +219,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.idxNoise = rand.New(e.idxPCG)
 		e.freqStr = fmt.Sprintf("%.0f", steadyHz)
 		e.extraCache = map[extraKey]map[string]string{}
+		e.memo = newKernelMemo()
 	}
 	return e, nil
 }
@@ -242,12 +247,20 @@ func (e *Engine) sharedExtra(bound string, slowdown float64) map[string]string {
 // engines for the given configuration, one per runner worker. The returned
 // factory forces Indexed on; the first NewEngine call reports any
 // configuration that cannot run trial-indexed (load-reactive governor,
-// pool/arena allocation, unpinned scheduler).
+// pool/arena allocation, unpinned scheduler). The engines of one Factory
+// share one kernel memo, so each distinct kernel of a campaign is
+// simulated about once, whichever worker runs it.
 func Factory(cfg Config) core.EngineFactory {
+	memo := newKernelMemo()
 	return core.EngineFactoryFunc(func() (core.Engine, error) {
 		cfg := cfg
 		cfg.Indexed = true
-		return NewEngine(cfg)
+		e, err := NewEngine(cfg)
+		if err != nil {
+			return nil, err
+		}
+		e.memo = memo
+		return e, nil
 	})
 }
 
@@ -307,51 +320,12 @@ func (e *Engine) Execute(t doe.Trial) (core.RawRecord, error) {
 	if err != nil {
 		return core.RawRecord{}, err
 	}
-	var bufs []*memsim.Buffer
+	var res memsim.KernelResult
 	if e.cfg.Indexed {
-		// Per-trial substrate: a fresh address space and a cold hierarchy,
-		// so the measurement replays identically wherever the trial lands
-		// in the (possibly sharded) execution. The allocator rewind and
-		// engine-held buffer structs reproduce exactly the addresses a
-		// fresh allocator would hand out, without allocating.
-		e.idxAlloc.Reset()
-		e.hierarchy.Flush()
-		bufs = e.idxPtrs[:kind.Buffers()]
-		for i := range bufs {
-			if err := e.idxAlloc.AllocInto(bufs[i], kp.SizeBytes); err != nil {
-				return core.RawRecord{}, err
-			}
-			if i+1 < len(bufs) {
-				// Stagger multi-array kernels by one page, as real STREAM
-				// implementations pad, to avoid power-of-two set collisions.
-				e.idxAlloc.SkipPages(i + 1)
-			}
-		}
+		res, err = e.indexedKernel(kp, kind)
 	} else {
-		alloc := e.alloc
-		bufs = make([]*memsim.Buffer, kind.Buffers())
-		for i := range bufs {
-			if bufs[i], err = alloc.Alloc(kp.SizeBytes); err != nil {
-				return core.RawRecord{}, err
-			}
-			if e.cfg.Allocation == AllocContiguous && i+1 < len(bufs) {
-				// Stagger multi-array kernels by one page, as real STREAM
-				// implementations pad, to avoid power-of-two set collisions.
-				pad, err := alloc.Alloc(e.cfg.Machine.PageBytes * (i + 1))
-				if err != nil {
-					return core.RawRecord{}, err
-				}
-				defer alloc.Free(pad)
-			}
-		}
-		defer func() {
-			for _, b := range bufs {
-				alloc.Free(b)
-			}
-		}()
+		res, err = e.statefulKernel(kp, kind)
 	}
-
-	res, err := memsim.RunStream(e.cfg.Machine, e.hierarchy, bufs, kp, kind)
 	if err != nil {
 		return core.RawRecord{}, err
 	}
@@ -402,6 +376,105 @@ func (e *Engine) Execute(t doe.Trial) (core.RawRecord, error) {
 		rec.Annotate("slowdown", fmt.Sprintf("%.3g", slowdown))
 	}
 	return rec, nil
+}
+
+// indexedKernel simulates an indexed trial's kernel on a fresh address
+// space and a cold hierarchy, so the measurement replays identically
+// wherever the trial lands in the (possibly sharded) execution. That makes
+// the result a pure function of the kernel, and the engine's memo serves
+// every later trial of the same kernel without simulating it again.
+func (e *Engine) indexedKernel(kp memsim.KernelParams, kind memsim.StreamKind) (memsim.KernelResult, error) {
+	key := kernelKey{kp, kind}
+	if res, ok := e.memo.get(key); ok {
+		return res, nil
+	}
+	// The allocator rewind and engine-held buffer structs reproduce exactly
+	// the addresses a fresh allocator would hand out, without allocating.
+	e.idxAlloc.Reset()
+	e.hierarchy.Flush()
+	bufs := e.idxPtrs[:kind.Buffers()]
+	for i := range bufs {
+		if err := e.idxAlloc.AllocInto(bufs[i], kp.SizeBytes); err != nil {
+			return memsim.KernelResult{}, err
+		}
+		if i+1 < len(bufs) {
+			// Stagger multi-array kernels by one page, as real STREAM
+			// implementations pad, to avoid power-of-two set collisions.
+			e.idxAlloc.SkipPages(i + 1)
+		}
+	}
+	res, err := memsim.RunStream(e.cfg.Machine, e.hierarchy, bufs, kp, kind)
+	if err != nil {
+		return memsim.KernelResult{}, err
+	}
+	e.memo.put(key, res)
+	return res, nil
+}
+
+// statefulKernel simulates a kernel on the engine's persistent substrate:
+// buffers come from the configured allocator and the hierarchy keeps
+// whatever earlier trials left in it, as in a real benchmark process.
+func (e *Engine) statefulKernel(kp memsim.KernelParams, kind memsim.StreamKind) (memsim.KernelResult, error) {
+	alloc := e.alloc
+	bufs := make([]*memsim.Buffer, kind.Buffers())
+	for i := range bufs {
+		var err error
+		if bufs[i], err = alloc.Alloc(kp.SizeBytes); err != nil {
+			return memsim.KernelResult{}, err
+		}
+		if e.cfg.Allocation == AllocContiguous && i+1 < len(bufs) {
+			// Stagger multi-array kernels by one page, as real STREAM
+			// implementations pad, to avoid power-of-two set collisions.
+			pad, err := alloc.Alloc(e.cfg.Machine.PageBytes * (i + 1))
+			if err != nil {
+				return memsim.KernelResult{}, err
+			}
+			defer alloc.Free(pad)
+		}
+	}
+	defer func() {
+		for _, b := range bufs {
+			alloc.Free(b)
+		}
+	}()
+	return memsim.RunStream(e.cfg.Machine, e.hierarchy, bufs, kp, kind)
+}
+
+// kernelMemo holds the kernel results of trial-indexed engines. An indexed
+// kernel result depends only on the machine, which one Config fixes, and
+// on the kernel key, so the replicates of a design point, and every engine
+// one Factory builds, can share a single simulation. Noise, slowdown,
+// timing and annotations are still derived per trial, after the lookup.
+// Only successful results are stored. Stateful engines never consult a
+// memo: their hierarchy carries history from trial to trial.
+type kernelMemo struct {
+	mu      sync.Mutex
+	results map[kernelKey]memsim.KernelResult
+}
+
+type kernelKey struct {
+	params memsim.KernelParams
+	kind   memsim.StreamKind
+}
+
+func newKernelMemo() *kernelMemo {
+	return &kernelMemo{results: map[kernelKey]memsim.KernelResult{}}
+}
+
+func (m *kernelMemo) get(k kernelKey) (memsim.KernelResult, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	res, ok := m.results[k]
+	return res, ok
+}
+
+// put stores a result. Engines sharing the memo may simulate the same
+// kernel concurrently; they produce identical results, so the last store
+// wins harmlessly.
+func (m *kernelMemo) put(k kernelKey, res memsim.KernelResult) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.results[k] = res
 }
 
 // Environment implements core.Engine.

@@ -248,6 +248,16 @@ func (c *Cache) mruHit(phys uint64, write bool) bool {
 	return true
 }
 
+// mruHits charges k further loads of the MRU line in one step — exactly
+// the state k successive read mruHits leave behind: the tick and hit count
+// advance by k and the line's age is the final tick. The caller guarantees
+// the MRU entry is live and covers the loads.
+func (c *Cache) mruHits(k uint64) {
+	c.tick += k
+	c.age[c.mruIdx] = c.tick
+	c.hits += k
+}
+
 // noteMRU records the line just hit or installed as the MRU entry.
 func (c *Cache) noteMRU(phys uint64, idx int) {
 	if c.pow2 {
@@ -368,6 +378,39 @@ func (h *Hierarchy) AccessRW(phys uint64, write bool) int {
 		h.memFills++
 	}
 	return depth
+}
+
+// streamLoads performs the n loads phys, phys+stride, phys+2*stride, ...
+// one L1 line at a time. The first load of each line takes the full
+// AccessRW, which leaves that line as L1's MRU entry (writebacks it
+// triggers only touch deeper levels); the line's remaining loads would each
+// be an mruHit, so they are charged in one step. The count comes from the
+// distance to the line's end, so strides that do not divide the line and a
+// tail shorter than a line stay exact. Strides of a line or more, and L1
+// geometries the MRU entry does not track, keep per-load accesses.
+func (h *Hierarchy) streamLoads(phys, stride uint64, n int) {
+	l1 := h.levels[0]
+	if !l1.pow2 || stride >= uint64(l1.cfg.LineBytes) {
+		for ; n > 0; n-- {
+			h.AccessRW(phys, false)
+			phys += stride
+		}
+		return
+	}
+	for n > 0 {
+		h.AccessRW(phys, false)
+		lineEnd := (phys>>l1.lineShift + 1) << l1.lineShift
+		rest := (lineEnd - phys - 1) / stride // further loads on this line
+		if rest >= uint64(n) {
+			rest = uint64(n - 1)
+		}
+		if rest > 0 {
+			h.accesses += rest
+			l1.mruHits(rest)
+		}
+		phys += (rest + 1) * stride
+		n -= int(rest) + 1
+	}
 }
 
 // writeback installs a dirty line into level j (or memory when j is past

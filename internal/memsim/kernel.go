@@ -92,91 +92,12 @@ func (r KernelResult) BandwidthMBps(elemBytes int, seconds float64) float64 {
 	return float64(r.Accesses) * float64(elemBytes) / seconds / 1e6
 }
 
-// RunKernel simulates the kernel on machine m against hierarchy h and buffer
-// buf. The hierarchy's pre-existing contents represent whatever the previous
-// measurement left behind, exactly like a real benchmark process.
-//
-// Loop iterations beyond the third traversal are extrapolated from the
-// steady-state traversal: the access pattern repeats identically, so with
-// LRU replacement the per-traversal miss pattern is periodic after warm-up.
+// RunKernel simulates the Figure 6 kernel on machine m against hierarchy h
+// and buffer buf: it is RunStream's read-only sum kernel over one buffer,
+// so the same executor serves the figures and the campaigns. Like
+// RunStream it honours the machine's TLB model when one is enabled.
 func RunKernel(m *Machine, h *Hierarchy, buf *Buffer, p KernelParams) (KernelResult, error) {
-	if err := p.Validate(buf); err != nil {
-		return KernelResult{}, err
-	}
-	iters := p.SizeBytes / p.ElemBytes / p.Stride
-	strideBytes := p.Stride * p.ElemBytes
-
-	simLoops := p.NLoops
-	extrapolate := false
-	if p.NLoops > 3 {
-		simLoops = 3
-		extrapolate = true
-	}
-
-	nLevels := len(h.Levels())
-	cpa := m.Issue.CyclesPerAccess(p.ElemBytes, p.Unroll)
-	issuePerLoop := float64(iters) * cpa
-
-	// The roofline applies per traversal: the cold traversal may be bound by
-	// the memory interface while steady-state traversals are issue-bound.
-	repCycles := make([]float64, simLoops)
-	repBound := make([]string, simLoops)
-	perLoopFills := make([][]uint64, simLoops)
-	for rep := 0; rep < simLoops; rep++ {
-		h.ResetStats()
-		off := 0
-		for i := 0; i < iters; i++ {
-			h.Access(buf.Translate(off))
-			off += strideBytes
-		}
-		perLoopFills[rep] = h.Fills()
-		repCycles[rep] = issuePerLoop
-		repBound[rep] = "issue"
-		for i := 0; i < nLevels; i++ {
-			cfg := h.Levels()[i].Config()
-			tc := float64(perLoopFills[rep][i]) * float64(cfg.LineBytes) / cfg.FillBytesPerCycle
-			if tc > repCycles[rep] {
-				repCycles[rep] = tc
-				repBound[rep] = cfg.Name
-				if i == nLevels-1 {
-					repBound[rep] = "mem"
-				}
-			}
-		}
-	}
-
-	totalFills := make([]uint64, nLevels+1)
-	var totalCycles float64
-	for rep := 0; rep < simLoops; rep++ {
-		for i := range totalFills {
-			totalFills[i] += perLoopFills[rep][i]
-		}
-		totalCycles += repCycles[rep]
-	}
-	if extrapolate {
-		steady := perLoopFills[simLoops-1]
-		extra := uint64(p.NLoops - simLoops)
-		for i := range totalFills {
-			totalFills[i] += steady[i] * extra
-		}
-		totalCycles += repCycles[simLoops-1] * float64(extra)
-	}
-
-	res := KernelResult{
-		Accesses: uint64(iters) * uint64(p.NLoops),
-		Fills:    totalFills,
-		Cycles:   totalCycles,
-		// BoundBy reports the steady-state traversal's binding resource,
-		// which is what the bandwidth plateaus of Figure 7 reflect.
-		BoundBy:     repBound[simLoops-1],
-		IssueCycles: float64(iters) * float64(p.NLoops) * cpa,
-	}
-	res.TransferCycles = make([]float64, nLevels)
-	for i := 0; i < nLevels; i++ {
-		cfg := h.Levels()[i].Config()
-		res.TransferCycles[i] = float64(totalFills[i]) * float64(cfg.LineBytes) / cfg.FillBytesPerCycle
-	}
-	return res, nil
+	return RunStream(m, h, []*Buffer{buf}, p, StreamSum)
 }
 
 // ApplyNoise perturbs a simulated duration with the machine's measurement

@@ -53,9 +53,17 @@ func (k StreamKind) Valid() bool {
 }
 
 // RunStream simulates a STREAM-family kernel over the buffers (destination
-// first). Timing, steady-state extrapolation and the per-traversal roofline
-// follow RunKernel, with stores adding write-allocate fills and writeback
-// traffic to the interfaces they cross.
+// first) on machine m against hierarchy h. The hierarchy's pre-existing
+// contents represent whatever the previous measurement left behind, exactly
+// like a real benchmark process. Stores add write-allocate fills and
+// writeback traffic to the interfaces they cross, and a machine with a TLB
+// model charges its page walks.
+//
+// The roofline applies per traversal: the cold traversal may be bound by
+// the memory interface while steady-state traversals are issue-bound.
+// Traversals beyond the third are extrapolated from the steady-state one:
+// the access pattern repeats identically, so with LRU replacement the
+// per-traversal miss pattern is periodic after warm-up.
 func RunStream(m *Machine, h *Hierarchy, bufs []*Buffer, p KernelParams, kind StreamKind) (KernelResult, error) {
 	if !kind.Valid() {
 		return KernelResult{}, fmt.Errorf("memsim: unknown stream kernel %q", kind)
@@ -101,9 +109,12 @@ func RunStream(m *Machine, h *Hierarchy, bufs []*Buffer, p KernelParams, kind St
 
 	// The hot path — no TLB model and physically linear buffers, which is
 	// every trial-indexed campaign — streams raw physical addresses without
-	// closures or per-access translation; the generic path keeps the TLB
-	// and scattered-page behaviour. Both issue the identical access
-	// sequence, so counters and timing match bit for bit.
+	// closures or per-access translation, and the sum kernel advances one
+	// L1 line at a time (Hierarchy.streamLoads); the generic path keeps the
+	// TLB and scattered-page behaviour. Both leave the identical cache
+	// state and counters, so results match bit for bit
+	// (TestLinearFastPathMatchesTranslatePath pins it). Copy and triad stay
+	// per element: their alternating buffers displace the MRU entry.
 	fast := tlb == nil
 	for bi := 0; bi < kind.Buffers(); bi++ {
 		fast = fast && bufs[bi].linear
@@ -115,11 +126,7 @@ func RunStream(m *Machine, h *Hierarchy, bufs []*Buffer, p KernelParams, kind St
 			sb := uint64(strideBytes)
 			switch kind {
 			case StreamSum:
-				phys := bufs[0].base
-				for i := 0; i < iters; i++ {
-					h.AccessRW(phys, false)
-					phys += sb
-				}
+				h.streamLoads(bufs[0].base, sb, iters)
 			case StreamCopy:
 				src, dst := bufs[1].base, bufs[0].base
 				for i := 0; i < iters; i++ {

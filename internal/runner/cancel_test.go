@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -84,15 +85,27 @@ func TestCancellationLeavesNoTornLines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(gotCSV) == 0 || gotCSV[len(gotCSV)-1] != '\n' {
+		gotJSONL, err := os.ReadFile(jsonlPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The cancel can land before trial 0 finishes; then no record
+		// reached the sinks and both files stay empty. An empty CSV beside
+		// a non-empty JSONL would mean the sinks disagree.
+		if len(gotCSV) == 0 && len(gotJSONL) != 0 {
+			t.Fatalf("workers=%d: CSV is empty but JSONL holds %d bytes", workers, len(gotJSONL))
+		}
+		if len(gotCSV) > 0 && gotCSV[len(gotCSV)-1] != '\n' {
 			t.Fatalf("workers=%d: CSV does not end on a line boundary (%d bytes)", workers, len(gotCSV))
 		}
 		if !bytes.HasPrefix(refCSV.Bytes(), gotCSV) {
 			t.Fatalf("workers=%d: CSV is not a byte prefix of the full run (%d bytes)", workers, len(gotCSV))
 		}
-		parsed, err := core.ReadCSV(bytes.NewReader(gotCSV))
-		if err != nil {
-			t.Fatalf("workers=%d: flushed CSV does not parse: %v", workers, err)
+		parsed := &core.Results{}
+		if len(gotCSV) > 0 {
+			if parsed, err = core.ReadCSV(bytes.NewReader(gotCSV)); err != nil {
+				t.Fatalf("workers=%d: flushed CSV does not parse: %v", workers, err)
+			}
 		}
 		for i, rec := range parsed.Records {
 			if rec.Seq != i {
@@ -100,10 +113,6 @@ func TestCancellationLeavesNoTornLines(t *testing.T) {
 			}
 		}
 
-		gotJSONL, err := os.ReadFile(jsonlPath)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if len(gotJSONL) > 0 && gotJSONL[len(gotJSONL)-1] != '\n' {
 			t.Fatalf("workers=%d: JSONL does not end on a line boundary", workers)
 		}
@@ -126,6 +135,52 @@ func TestCancellationLeavesNoTornLines(t *testing.T) {
 		}
 		if parsed.Len() != seq {
 			t.Fatalf("workers=%d: CSV has %d records but JSONL %d — the sinks disagree", workers, parsed.Len(), seq)
+		}
+	}
+}
+
+// failFirstEngine fails trial 0 and succeeds on every other trial.
+type failFirstEngine struct{}
+
+func (failFirstEngine) Execute(t doe.Trial) (core.RawRecord, error) {
+	if t.Seq == 0 {
+		return core.RawRecord{}, errors.New("trial 0 fails")
+	}
+	return core.RawRecord{Value: float64(t.Seq), Seconds: 1, At: float64(t.Seq)}, nil
+}
+
+func (failFirstEngine) Environment() *meta.Environment { return meta.New() }
+
+// TestFailedFirstTrialLeavesEmptyFiles: when no record reaches the sinks,
+// the error path must leave the CSV and JSONL files empty. A bare CSV
+// header of the fixed columns is not a prefix of any real run, which has
+// factor columns too.
+func TestFailedFirstTrialLeavesEmptyFiles(t *testing.T) {
+	d := stubDesign(t, 40)
+	for _, workers := range []int{1, 4} {
+		dir := t.TempDir()
+		csvPath := filepath.Join(dir, "out.csv")
+		jsonlPath := filepath.Join(dir, "out.jsonl")
+		sinks, closers, err := FileSinks(&bytes.Buffer{}, csvPath, jsonlPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		factory := core.EngineFactoryFunc(func() (core.Engine, error) { return failFirstEngine{}, nil })
+		_, runErr := Run(context.Background(), d, factory, Config{Workers: workers, Sinks: sinks})
+		for _, c := range closers {
+			c.Close()
+		}
+		if runErr == nil {
+			t.Fatalf("workers=%d: failed run reported success", workers)
+		}
+		for _, path := range []string{csvPath, jsonlPath} {
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 0 {
+				t.Fatalf("workers=%d: %s holds %q, want empty", workers, filepath.Base(path), got)
+			}
 		}
 	}
 }

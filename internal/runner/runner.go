@@ -117,11 +117,10 @@ func Run(ctx context.Context, design *doe.Design, factory core.EngineFactory, cf
 					rec.Point = t.Point
 				}
 				records[i] = rec
-				select {
-				case doneSeqs <- i:
-				case <-ctx.Done():
-					return
-				}
+				// A plain send: the collector drains doneSeqs until it
+				// closes, so a record finished as the run is canceled still
+				// reaches the ordered prefix instead of being dropped.
+				doneSeqs <- i
 			}
 		}(w, engines[w])
 	}
@@ -157,8 +156,13 @@ func Run(ctx context.Context, design *doe.Design, factory core.EngineFactory, cf
 	if err := context.Cause(ctx); err != nil {
 		// Best-effort flush so the completed ordered prefix already handed
 		// to the sinks survives the failure — the streaming sinks'
-		// crash-durability promise. The run error stays primary.
-		flushSinks(cfg.Sinks)
+		// crash-durability promise. The run error stays primary. With no
+		// record handed over there is nothing to keep, and a flush would
+		// only make a CSV sink emit its bare fixed-column header, which is
+		// not a prefix of any real run.
+		if next > 0 {
+			flushSinks(cfg.Sinks)
+		}
 		return nil, err
 	}
 	res.Records = records
