@@ -139,9 +139,11 @@ func BenchmarkExtStream(b *testing.B) {
 //
 // The design has 16 distinct points, each replicated 625 times, and the
 // engines of one membench.Factory share a kernel memo, so the campaign
-// simulates each kernel about once per run. These benches therefore
-// measure the runner, the per-trial noise and record path, and the memo
-// lookup, not memsim; BenchmarkStreamI7Ladder is the memsim rung.
+// simulates each sweep once per Factory. These benches build their Factory
+// once, outside the timed loop, so after the first op they measure the
+// runner, the per-trial noise and record path, and the memo lookup, not
+// memsim; BenchmarkStreamI7Ladder is the memsim rung and
+// BenchmarkMemColdCampaign the cold campaign rung.
 
 func campaign10k(tb testing.TB) (*doe.Design, core.EngineFactory) {
 	tb.Helper()
@@ -187,6 +189,38 @@ func benchCampaignParallel(b *testing.B, workers int) {
 func BenchmarkCampaign10kParallel2(b *testing.B) { benchCampaignParallel(b, 2) }
 func BenchmarkCampaign10kParallel4(b *testing.B) { benchCampaignParallel(b, 4) }
 func BenchmarkCampaign10kParallel8(b *testing.B) { benchCampaignParallel(b, 8) }
+
+// BenchmarkMemColdCampaign is the cold campaign rung: one op builds a
+// fresh membench.Factory, so its memo starts empty, and runs the
+// end-to-end benchmark's mem-cold campaign (Core i7, sizes 4 KB to 4 MB,
+// strides 1 and 16, 2 replicates) through runner.Run, at one worker and
+// at one per CPU. The op simulates the campaign's six sweeps once each;
+// comparing the two rungs shows whether extra workers still help once
+// the memo has removed the duplicate simulations.
+func BenchmarkMemColdCampaign(b *testing.B) {
+	cfg, d, err := membench.FromSpec(membench.Spec{
+		Machine: "i7",
+		Sizes:   []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20},
+		Strides: []int{1, 16},
+		Reps:    2,
+	}, 41)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=NumCPU", runtime.NumCPU()}} {
+		b.Run(w.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := runner.Run(context.Background(), d, membench.Factory(cfg),
+					runner.Config{Workers: w.workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkStreamI7Ladder is the direct memsim rung: one op runs the sum
 // kernel of the benchmark's mem-cold workload (Core i7, 4-byte elements,

@@ -219,7 +219,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.idxNoise = rand.New(e.idxPCG)
 		e.freqStr = fmt.Sprintf("%.0f", steadyHz)
 		e.extraCache = map[extraKey]map[string]string{}
-		e.memo = newKernelMemo()
+		e.memo = newKernelMemo(cfg.Machine)
 	}
 	return e, nil
 }
@@ -248,10 +248,10 @@ func (e *Engine) sharedExtra(bound string, slowdown float64) map[string]string {
 // factory forces Indexed on; the first NewEngine call reports any
 // configuration that cannot run trial-indexed (load-reactive governor,
 // pool/arena allocation, unpinned scheduler). The engines of one Factory
-// share one kernel memo, so each distinct kernel of a campaign is
-// simulated about once, whichever worker runs it.
+// share one kernel memo, so each distinct sweep of a campaign, and each
+// kernel without one, is simulated once, whichever worker runs it.
 func Factory(cfg Config) core.EngineFactory {
-	memo := newKernelMemo()
+	memo := newKernelMemo(cfg.Machine)
 	return core.EngineFactoryFunc(func() (core.Engine, error) {
 		cfg := cfg
 		cfg.Indexed = true
@@ -382,16 +382,16 @@ func (e *Engine) Execute(t doe.Trial) (core.RawRecord, error) {
 // space and a cold hierarchy, so the measurement replays identically
 // wherever the trial lands in the (possibly sharded) execution. That makes
 // the result a pure function of the kernel, and the engine's memo serves
-// every later trial of the same kernel without simulating it again.
+// every later trial of the same kernel, or of the same sweep, without
+// simulating it again.
 func (e *Engine) indexedKernel(kp memsim.KernelParams, kind memsim.StreamKind) (memsim.KernelResult, error) {
 	key := kernelKey{kp, kind}
-	if res, ok := e.memo.get(key); ok {
+	if res, ok := e.memo.result(key); ok {
 		return res, nil
 	}
 	// The allocator rewind and engine-held buffer structs reproduce exactly
 	// the addresses a fresh allocator would hand out, without allocating.
 	e.idxAlloc.Reset()
-	e.hierarchy.Flush()
 	bufs := e.idxPtrs[:kind.Buffers()]
 	for i := range bufs {
 		if err := e.idxAlloc.AllocInto(bufs[i], kp.SizeBytes); err != nil {
@@ -403,12 +403,11 @@ func (e *Engine) indexedKernel(kp memsim.KernelParams, kind memsim.StreamKind) (
 			e.idxAlloc.SkipPages(i + 1)
 		}
 	}
-	res, err := memsim.RunStream(e.cfg.Machine, e.hierarchy, bufs, kp, kind)
-	if err != nil {
-		return memsim.KernelResult{}, err
-	}
-	e.memo.put(key, res)
-	return res, nil
+	sweep, shared := memsim.SumSweep(e.cfg.Machine, bufs, kp, kind)
+	return e.memo.load(key, sweep, shared, func() (*memsim.PassProfile, error) {
+		e.hierarchy.Flush()
+		return memsim.SimulatePasses(e.cfg.Machine, e.hierarchy, bufs, kp, kind)
+	})
 }
 
 // statefulKernel simulates a kernel on the engine's persistent substrate:
@@ -443,13 +442,25 @@ func (e *Engine) statefulKernel(kp memsim.KernelParams, kind memsim.StreamKind) 
 // kernelMemo holds the kernel results of trial-indexed engines. An indexed
 // kernel result depends only on the machine, which one Config fixes, and
 // on the kernel key, so the replicates of a design point, and every engine
-// one Factory builds, can share a single simulation. Noise, slowdown,
-// timing and annotations are still derived per trial, after the lookup.
-// Only successful results are stored. Stateful engines never consult a
-// memo: their hierarchy carries history from trial to trial.
+// one Factory builds, can share a single simulation. Sum kernels with one
+// sweep key (memsim.SumSweep) share one pass profile as well, so a new
+// stride of a swept buffer is only assembled. Noise, slowdown, timing and
+// annotations are still derived per trial, after the lookup. Stateful
+// engines never consult a memo: their hierarchy carries history from trial
+// to trial.
+//
+// The memo is single-flight: while one engine simulates a sweep (or an
+// unshareable kernel), the others that need it wait for its profile
+// instead of simulating it too. Only successful simulations are stored; a
+// failure wakes the waiters, and each retries on its own.
 type kernelMemo struct {
-	mu      sync.Mutex
-	results map[kernelKey]memsim.KernelResult
+	machine  *memsim.Machine
+	mu       sync.Mutex
+	results  map[kernelKey]memsim.KernelResult
+	sweeps   map[memsim.SweepKey]*memsim.PassProfile
+	inflight map[any]chan struct{} // closed when the simulation ends
+	// simulations counts the simulations started, failed ones included.
+	simulations int
 }
 
 type kernelKey struct {
@@ -457,24 +468,71 @@ type kernelKey struct {
 	kind   memsim.StreamKind
 }
 
-func newKernelMemo() *kernelMemo {
-	return &kernelMemo{results: map[kernelKey]memsim.KernelResult{}}
+func newKernelMemo(m *memsim.Machine) *kernelMemo {
+	return &kernelMemo{
+		machine:  m,
+		results:  map[kernelKey]memsim.KernelResult{},
+		sweeps:   map[memsim.SweepKey]*memsim.PassProfile{},
+		inflight: map[any]chan struct{}{},
+	}
 }
 
-func (m *kernelMemo) get(k kernelKey) (memsim.KernelResult, bool) {
+func (m *kernelMemo) result(k kernelKey) (memsim.KernelResult, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	res, ok := m.results[k]
 	return res, ok
 }
 
-// put stores a result. Engines sharing the memo may simulate the same
-// kernel concurrently; they produce identical results, so the last store
-// wins harmlessly.
-func (m *kernelMemo) put(k kernelKey, res memsim.KernelResult) {
+// load returns the result of kernel k, calling simulate only when neither
+// k's result nor, when shared, its sweep's profile is stored and no other
+// caller is simulating the same thing.
+func (m *kernelMemo) load(k kernelKey, sweep memsim.SweepKey, shared bool,
+	simulate func() (*memsim.PassProfile, error)) (memsim.KernelResult, error) {
+	var flight any = k
+	if shared {
+		flight = sweep
+	}
+	m.mu.Lock()
+	for {
+		if res, ok := m.results[k]; ok {
+			m.mu.Unlock()
+			return res, nil
+		}
+		if prof, ok := m.sweeps[sweep]; shared && ok {
+			res := prof.Assemble(m.machine, k.params, k.kind)
+			m.results[k] = res
+			m.mu.Unlock()
+			return res, nil
+		}
+		done, busy := m.inflight[flight]
+		if !busy {
+			break
+		}
+		m.mu.Unlock()
+		<-done
+		m.mu.Lock()
+	}
+	done := make(chan struct{})
+	m.inflight[flight] = done
+	m.simulations++
+	m.mu.Unlock()
+
+	prof, err := simulate()
+
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	delete(m.inflight, flight)
+	close(done)
+	if err != nil {
+		return memsim.KernelResult{}, err
+	}
+	if shared {
+		m.sweeps[sweep] = prof
+	}
+	res := prof.Assemble(m.machine, k.params, k.kind)
 	m.results[k] = res
+	return res, nil
 }
 
 // Environment implements core.Engine.

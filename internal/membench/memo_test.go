@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"opaquebench/internal/core"
@@ -73,8 +75,11 @@ func TestFactoryMemoMatchesFreshEngines(t *testing.T) {
 }
 
 // TestMemoSkipsRepeatedKernels checks the memo is actually consulted: one
-// Factory simulates each distinct kernel once, however many replicates
-// and engines run it.
+// Factory simulates each distinct sweep once, however many replicates,
+// strides, element sizes and engines run it. The design's sum kernels
+// touch every line of their buffer (strides of 4 to 24 bytes on 64-byte
+// lines), so they make one sweep per size; copy and triad have no sweep
+// and are simulated per distinct kernel.
 func TestMemoSkipsRepeatedKernels(t *testing.T) {
 	d := memoDesign(t)
 	f := Factory(Config{Machine: memsim.CoreI7(), Seed: 21})
@@ -99,8 +104,139 @@ func TestMemoSkipsRepeatedKernels(t *testing.T) {
 	for _, tr := range d.Trials {
 		distinct[tr.Point.Key()] = true
 	}
-	if want := len(distinct); len(memo.results) != want {
-		t.Fatalf("memo holds %d kernels, want %d distinct design points", len(memo.results), want)
+	const sizes, copyTriadKernels = 3, 3 * 2 * 2 * 2
+	if len(memo.results) != len(distinct) {
+		t.Fatalf("memo holds %d kernel results, want %d distinct design points", len(memo.results), len(distinct))
+	}
+	if len(memo.sweeps) != sizes {
+		t.Fatalf("memo holds %d sweeps, want one per size (%d)", len(memo.sweeps), sizes)
+	}
+	if want := sizes + copyTriadKernels; memo.simulations != want {
+		t.Fatalf("memo ran %d simulations, want %d (%d sum sweeps + %d copy/triad kernels)",
+			memo.simulations, want, sizes, copyTriadKernels)
+	}
+}
+
+// TestMemColdSimulatesEachSweepOnce runs the end-to-end benchmark's
+// mem-cold campaign through one Factory: six sizes at strides 1 and 16 of
+// 4-byte elements make twelve kernels but six sweeps, and concurrent
+// workers must wait for a sweep in flight rather than simulate it again.
+func TestMemColdSimulatesEachSweepOnce(t *testing.T) {
+	cfg, d, err := FromSpec(Spec{
+		Machine: "i7",
+		Sizes:   []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20},
+		Strides: []int{1, 16},
+		Reps:    2,
+	}, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		f := Factory(cfg)
+		eng, err := f.NewEngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		memo := eng.(*Engine).memo
+		if _, err := runner.Run(context.Background(), d, f, runner.Config{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if memo.simulations != 6 || len(memo.sweeps) != 6 || len(memo.results) != 12 {
+			t.Fatalf("workers=%d: %d simulations, %d sweeps, %d results; want 6, 6, 12",
+				workers, memo.simulations, len(memo.sweeps), len(memo.results))
+		}
+	}
+}
+
+// failingTrial is a kernel whose simulation fails: a 2-byte buffer holds
+// no 4-byte element.
+var failingTrial = doe.Trial{Point: doe.Point{FactorSize: "2", FactorElem: "4", FactorNLoops: "3"}}
+
+// TestMemoFailureReachesEveryEngine runs a failing kernel on several
+// engines of one Factory at once. Every engine must get the error, none
+// may hang on another's failed flight, and nothing may be stored; since
+// failures are not shared, every engine ends up simulating it itself.
+func TestMemoFailureReachesEveryEngine(t *testing.T) {
+	const engines = 8
+	f := Factory(Config{Machine: memsim.CoreI7(), Seed: 21})
+	es := make([]*Engine, engines)
+	for i := range es {
+		eng, err := f.NewEngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		es[i] = eng.(*Engine)
+	}
+	start := make(chan struct{})
+	errs := make([]error, engines)
+	var wg sync.WaitGroup
+	for i, e := range es {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, errs[i] = e.Execute(failingTrial)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil {
+			t.Fatalf("engine %d: failing kernel returned no error", i)
+		}
+	}
+	memo := es[0].memo
+	if len(memo.results) != 0 || len(memo.sweeps) != 0 || len(memo.inflight) != 0 {
+		t.Fatalf("failure left state behind: %d results, %d sweeps, %d in flight",
+			len(memo.results), len(memo.sweeps), len(memo.inflight))
+	}
+	if memo.simulations != engines {
+		t.Fatalf("%d simulations, want one per engine (%d)", memo.simulations, engines)
+	}
+}
+
+// TestMemoWaitersRetryAfterFailure holds a failing simulation in flight
+// while other callers arrive for the same kernel: the failure must wake
+// them, and each must run its own simulation and get its own error.
+func TestMemoWaitersRetryAfterFailure(t *testing.T) {
+	const waiters = 4
+	memo := newKernelMemo(memsim.CoreI7())
+	k := kernelKey{memsim.KernelParams{SizeBytes: 64, Stride: 1, ElemBytes: 4, NLoops: 1}, memsim.StreamCopy}
+	errSim := errors.New("simulation failed")
+	started, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan error, 1)
+	go func() {
+		_, err := memo.load(k, memsim.SweepKey{}, false, func() (*memsim.PassProfile, error) {
+			close(started)
+			<-release
+			return nil, errSim
+		})
+		leader <- err
+	}()
+	<-started
+	errs := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, err := memo.load(k, memsim.SweepKey{}, false, func() (*memsim.PassProfile, error) {
+				return nil, errSim
+			})
+			errs <- err
+		}()
+	}
+	close(release)
+	if err := <-leader; !errors.Is(err, errSim) {
+		t.Fatalf("leader: %v, want %v", err, errSim)
+	}
+	for i := 0; i < waiters; i++ {
+		if err := <-errs; !errors.Is(err, errSim) {
+			t.Fatalf("waiter: %v, want %v", err, errSim)
+		}
+	}
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	if memo.simulations != 1+waiters || len(memo.results) != 0 || len(memo.inflight) != 0 {
+		t.Fatalf("%d simulations, %d results, %d in flight; want %d, 0, 0",
+			memo.simulations, len(memo.results), len(memo.inflight), 1+waiters)
 	}
 }
 

@@ -53,58 +53,73 @@ func (k StreamKind) Valid() bool {
 }
 
 // RunStream simulates a STREAM-family kernel over the buffers (destination
-// first) on machine m against hierarchy h. The hierarchy's pre-existing
-// contents represent whatever the previous measurement left behind, exactly
-// like a real benchmark process. Stores add write-allocate fills and
-// writeback traffic to the interfaces they cross, and a machine with a TLB
-// model charges its page walks.
+// first) on machine m against hierarchy h, a hierarchy of m. The
+// hierarchy's pre-existing contents represent whatever the previous
+// measurement left behind, exactly like a real benchmark process. Stores
+// add write-allocate fills and writeback traffic to the interfaces they
+// cross, and a machine with a TLB model charges its page walks.
 //
-// The roofline applies per traversal: the cold traversal may be bound by
-// the memory interface while steady-state traversals are issue-bound.
-// Traversals beyond the third are extrapolated from the steady-state one:
-// the access pattern repeats identically, so with LRU replacement the
-// per-traversal miss pattern is periodic after warm-up.
+// It is the composition of SimulatePasses, which drives the hierarchy, and
+// PassProfile.Assemble, which applies the roofline.
 func RunStream(m *Machine, h *Hierarchy, bufs []*Buffer, p KernelParams, kind StreamKind) (KernelResult, error) {
+	prof, err := SimulatePasses(m, h, bufs, p, kind)
+	if err != nil {
+		return KernelResult{}, err
+	}
+	return prof.Assemble(m, p, kind), nil
+}
+
+// PassProfile is what the simulated passes of one kernel run did to the
+// memory system, pass by pass: the lines installed at each level and
+// fetched from memory, the lines crossing each level's fill interface, and
+// the TLB misses. These counts are everything the roofline reads.
+type PassProfile struct {
+	fills     [][]uint64 // [pass][level]; the final entry counts memory fetches
+	traffic   [][]uint64 // [pass][level]: fills plus writebacks
+	tlbMisses []uint64   // [pass]
+}
+
+// simulatedPasses is the number of traversals a kernel of nloops
+// traversals simulates; the rest are extrapolated from the last one.
+func simulatedPasses(nloops int) int {
+	return min(nloops, 3)
+}
+
+// SimulatePasses runs the first min(NLoops, 3) traversals of a kernel
+// against h, as RunStream does, and returns their per-pass profile.
+// Traversals beyond the third are left to Assemble: the access pattern
+// repeats identically, so with LRU replacement the per-traversal miss
+// pattern is periodic after warm-up.
+func SimulatePasses(m *Machine, h *Hierarchy, bufs []*Buffer, p KernelParams, kind StreamKind) (*PassProfile, error) {
 	if !kind.Valid() {
-		return KernelResult{}, fmt.Errorf("memsim: unknown stream kernel %q", kind)
+		return nil, fmt.Errorf("memsim: unknown stream kernel %q", kind)
 	}
 	if len(bufs) < kind.Buffers() {
-		return KernelResult{}, fmt.Errorf("memsim: %s kernel needs %d buffers, got %d", kind, kind.Buffers(), len(bufs))
+		return nil, fmt.Errorf("memsim: %s kernel needs %d buffers, got %d", kind, kind.Buffers(), len(bufs))
 	}
 	for bi := 0; bi < kind.Buffers(); bi++ {
 		if err := p.Validate(bufs[bi]); err != nil {
-			return KernelResult{}, err
+			return nil, err
 		}
 	}
 	iters := p.SizeBytes / p.ElemBytes / p.Stride
 	strideBytes := p.Stride * p.ElemBytes
-	reads, writes := kind.accessesPerIteration()
-	perIter := reads + writes
-
-	simLoops := p.NLoops
-	extrapolate := false
-	if p.NLoops > 3 {
-		simLoops = 3
-		extrapolate = true
-	}
-
+	simLoops := simulatedPasses(p.NLoops)
 	nLevels := len(h.Levels())
-	cpa := m.Issue.CyclesPerAccess(p.ElemBytes, p.Unroll)
-	issuePerLoop := float64(iters*perIter) * cpa
 	tlb := NewTLB(m.TLBEntries)
 	pageBytes := uint64(m.PageBytes)
 
-	// One flat backing array holds every per-traversal counter; the 2D views
-	// just slice it, so a traversal costs no allocations beyond this block.
-	repCycles := make([]float64, simLoops)
-	repBound := make([]string, simLoops)
-	perLoopTraffic := make([][]uint64, simLoops) // fills + writebacks per level
-	perLoopFills := make([][]uint64, simLoops)
-	perLoopTLBMisses := make([]uint64, simLoops)
+	// One flat backing array holds every per-pass counter; the 2D views
+	// just slice it, so a pass costs no allocations beyond this block.
+	prof := &PassProfile{
+		fills:     make([][]uint64, simLoops),
+		traffic:   make([][]uint64, simLoops),
+		tlbMisses: make([]uint64, simLoops),
+	}
 	flat := make([]uint64, simLoops*(2*nLevels+1))
 	for rep := 0; rep < simLoops; rep++ {
-		perLoopFills[rep], flat = flat[:nLevels+1:nLevels+1], flat[nLevels+1:]
-		perLoopTraffic[rep], flat = flat[:nLevels:nLevels], flat[nLevels:]
+		prof.fills[rep], flat = flat[:nLevels+1:nLevels+1], flat[nLevels+1:]
+		prof.traffic[rep], flat = flat[:nLevels:nLevels], flat[nLevels:]
 	}
 
 	// The hot path — no TLB model and physically linear buffers, which is
@@ -170,68 +185,128 @@ func RunStream(m *Machine, h *Hierarchy, bufs []*Buffer, p KernelParams, kind St
 				off += strideBytes
 			}
 		}
-		perLoopTLBMisses[rep] = tlb.Misses() - tlbMissesBefore
-		fills := perLoopFills[rep]
-		copy(fills, h.fills)
-		fills[nLevels] = h.memFills
-		traffic := perLoopTraffic[rep]
+		prof.tlbMisses[rep] = tlb.Misses() - tlbMissesBefore
+		copy(prof.fills[rep], h.fills)
+		prof.fills[rep][nLevels] = h.memFills
 		for i := 0; i < nLevels; i++ {
-			traffic[i] = h.fills[i] + h.writeTraffic[i]
-		}
-
-		repCycles[rep] = issuePerLoop + float64(perLoopTLBMisses[rep])*m.TLBMissCycles
-		repBound[rep] = "issue"
-		for i := 0; i < nLevels; i++ {
-			cfg := h.Levels()[i].Config()
-			tc := float64(traffic[i]) * float64(cfg.LineBytes) / cfg.FillBytesPerCycle
-			if tc > repCycles[rep] {
-				repCycles[rep] = tc
-				repBound[rep] = cfg.Name
-				if i == nLevels-1 {
-					repBound[rep] = "mem"
-				}
-			}
+			prof.traffic[rep][i] = h.fills[i] + h.writeTraffic[i]
 		}
 	}
+	return prof, nil
+}
+
+// Assemble applies the streaming roofline to a profile of kernel p on
+// machine m. The roofline applies per traversal: the cold traversal may be
+// bound by the memory interface while steady-state traversals are
+// issue-bound. Traversals beyond the simulated ones repeat the last.
+func (prof *PassProfile) Assemble(m *Machine, p KernelParams, kind StreamKind) KernelResult {
+	iters := p.SizeBytes / p.ElemBytes / p.Stride
+	reads, writes := kind.accessesPerIteration()
+	perIter := reads + writes
+	simLoops := len(prof.fills)
+	nLevels := len(m.Levels)
+	cpa := m.Issue.CyclesPerAccess(p.ElemBytes, p.Unroll)
+	issuePerLoop := float64(iters*perIter) * cpa
 
 	totalFills := make([]uint64, nLevels+1)
 	totalTraffic := make([]uint64, nLevels)
 	var totalCycles float64
 	var totalTLBMisses uint64
+	var bound string
 	for rep := 0; rep < simLoops; rep++ {
-		totalTLBMisses += perLoopTLBMisses[rep]
-		for i := range perLoopFills[rep] {
-			totalFills[i] += perLoopFills[rep][i]
+		cycles := issuePerLoop + float64(prof.tlbMisses[rep])*m.TLBMissCycles
+		bound = "issue"
+		for i, cfg := range m.Levels {
+			tc := float64(prof.traffic[rep][i]) * float64(cfg.LineBytes) / cfg.FillBytesPerCycle
+			if tc > cycles {
+				cycles = tc
+				bound = cfg.Name
+				if i == nLevels-1 {
+					bound = "mem"
+				}
+			}
 		}
-		for i := range perLoopTraffic[rep] {
-			totalTraffic[i] += perLoopTraffic[rep][i]
+		totalTLBMisses += prof.tlbMisses[rep]
+		for i, f := range prof.fills[rep] {
+			totalFills[i] += f
 		}
-		totalCycles += repCycles[rep]
-	}
-	if extrapolate {
-		extra := uint64(p.NLoops - simLoops)
-		for i := range perLoopFills[simLoops-1] {
-			totalFills[i] += perLoopFills[simLoops-1][i] * extra
+		for i, tr := range prof.traffic[rep] {
+			totalTraffic[i] += tr
 		}
-		for i := range perLoopTraffic[simLoops-1] {
-			totalTraffic[i] += perLoopTraffic[simLoops-1][i] * extra
+		totalCycles += cycles
+		if rep == simLoops-1 && p.NLoops > simLoops {
+			extra := uint64(p.NLoops - simLoops)
+			for i, f := range prof.fills[rep] {
+				totalFills[i] += f * extra
+			}
+			for i, tr := range prof.traffic[rep] {
+				totalTraffic[i] += tr * extra
+			}
+			totalCycles += cycles * float64(extra)
+			totalTLBMisses += prof.tlbMisses[rep] * extra
 		}
-		totalCycles += repCycles[simLoops-1] * float64(extra)
-		totalTLBMisses += perLoopTLBMisses[simLoops-1] * extra
 	}
 
 	res := KernelResult{
-		Accesses:    uint64(iters*perIter) * uint64(p.NLoops),
-		Fills:       totalFills,
-		Cycles:      totalCycles,
-		BoundBy:     repBound[simLoops-1],
-		IssueCycles: float64(iters*perIter) * float64(p.NLoops) * cpa,
-		TLBMisses:   totalTLBMisses,
+		Accesses:       uint64(iters*perIter) * uint64(p.NLoops),
+		Fills:          totalFills,
+		Cycles:         totalCycles,
+		BoundBy:        bound,
+		IssueCycles:    float64(iters*perIter) * float64(p.NLoops) * cpa,
+		TLBMisses:      totalTLBMisses,
+		TransferCycles: make([]float64, nLevels),
 	}
-	res.TransferCycles = make([]float64, nLevels)
-	for i := 0; i < nLevels; i++ {
-		cfg := h.Levels()[i].Config()
+	for i, cfg := range m.Levels {
 		res.TransferCycles[i] = float64(totalTraffic[i]) * float64(cfg.LineBytes) / cfg.FillBytesPerCycle
 	}
-	return res, nil
+	return res
+}
+
+// SweepKey identifies the line sweep of a stride-invariant sum kernel: the
+// first cache line it touches, the number of consecutive lines, and the
+// number of simulated passes.
+type SweepKey struct {
+	firstLine, lines uint64
+	passes           int
+}
+
+// SumSweep returns the sweep key of kernel p over bufs on machine m, or
+// false when the kernel's profile depends on more than its sweep. On
+// flushed hierarchies of m, every kernel with a given key simulates to the
+// same PassProfile, so a profile may be shared across strides and element
+// sizes and only Assemble repeated.
+//
+// Why that is exact: with a stride of at most one line, each pass touches
+// every line from the first to the last, once per run of loads, in address
+// order. The first load of a run takes the full access; the run's other
+// loads are L1 hits on the line just touched, the newest of its set, so
+// they never reorder a set, draw a random victim or reach a deeper level.
+// Every level sees the same sequence of line accesses whatever the stride,
+// and with one line size across levels a line means the same bytes at each
+// of them. Fills, traffic and victims are therefore identical; only L1's
+// tick, ages and hit counts differ, which the profile does not read.
+// Copy and triad write, a TLB model counts per-load page hits, and
+// non-linear buffers scatter lines over pages, so none of them has a key.
+func SumSweep(m *Machine, bufs []*Buffer, p KernelParams, kind StreamKind) (SweepKey, bool) {
+	if kind != StreamSum || len(bufs) == 0 || !bufs[0].linear || m.TLBEntries > 0 {
+		return SweepKey{}, false
+	}
+	if p.Validate(bufs[0]) != nil {
+		return SweepKey{}, false
+	}
+	line := m.Levels[0].LineBytes
+	for _, l := range m.Levels[1:] {
+		if l.LineBytes != line {
+			return SweepKey{}, false
+		}
+	}
+	strideBytes := p.Stride * p.ElemBytes
+	if strideBytes > line {
+		return SweepKey{}, false
+	}
+	iters := p.SizeBytes / p.ElemBytes / p.Stride
+	base := bufs[0].base
+	first := base / uint64(line)
+	last := (base + uint64((iters-1)*strideBytes)) / uint64(line)
+	return SweepKey{firstLine: first, lines: last - first + 1, passes: simulatedPasses(p.NLoops)}, true
 }
