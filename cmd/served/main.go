@@ -67,6 +67,11 @@ func run(args []string, stdout io.Writer) error {
 		Log:        logw,
 	})
 
+	// Signals are caught before the listening line is printed, so a
+	// supervisor that signals as soon as it reads that line gets a drain.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -79,8 +84,6 @@ func run(args []string, stdout io.Writer) error {
 		ln.Addr(), srv.Budget().Cap(), *slots, cacheDesc)
 
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()

@@ -301,7 +301,7 @@ const jsonHex = "0123456789abcdef"
 // appendJSONString appends a quoted string exactly as encoding/json escapes
 // it with HTML escaping on (the Encoder default): quotes and backslashes
 // escaped, control characters as \b \f \n \r \t or \u00xx, <, > and & as
-// \u00xx, invalid UTF-8 bytes as �, and U+2028/U+2029 escaped.
+// \u00xx, invalid UTF-8 bytes as \ufffd, and U+2028/U+2029 escaped.
 func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
@@ -335,7 +335,7 @@ func appendJSONString(dst []byte, s string) []byte {
 		c, size := utf8.DecodeRuneInString(s[i:])
 		if c == utf8.RuneError && size == 1 {
 			dst = append(dst, s[start:i]...)
-			dst = append(dst, `�`...)
+			dst = append(dst, `\ufffd`...)
 			i += size
 			start = i
 			continue
@@ -374,8 +374,29 @@ func (s *MemorySink) Flush() error { return nil }
 
 // FileSinks opens the conventional command-line sink set: a streaming CSV
 // sink on w — redirected to outPath when non-empty — plus an optional JSONL
-// sink on jsonlPath. The returned closers own the files opened; the caller
-// closes them after the campaign.
+// sink on jsonlPath, with OpenFiles' preservation guarantees. The returned
+// closers own the files opened; the caller closes them after the campaign.
+func FileSinks(w io.Writer, outPath, jsonlPath string) ([]RecordSink, []io.Closer, error) {
+	csvFile, jsonlFile, err := OpenFiles(outPath, jsonlPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	var closers []io.Closer
+	if csvFile != nil {
+		w = csvFile
+		closers = append(closers, csvFile)
+	}
+	sinks := []RecordSink{NewCSVSink(w)}
+	if jsonlFile != nil {
+		sinks = append(sinks, NewJSONLSink(jsonlFile))
+		closers = append(closers, jsonlFile)
+	}
+	return sinks, closers, nil
+}
+
+// OpenFiles opens a campaign's CSV and JSONL output files for writing and
+// truncates them; an empty path yields a nil file. The caller closes the
+// files.
 //
 // The two paths must name different files: opening the same file twice
 // would interleave CSV and JSONL bytes into one corrupt stream, so the
@@ -386,12 +407,12 @@ func (s *MemorySink) Flush() error { return nil }
 // results — the same preservation guarantee the CLIs' lazy sink opening
 // gives against campaign-validation failures. On error any file already
 // opened is closed and nothing is returned.
-func FileSinks(w io.Writer, outPath, jsonlPath string) ([]RecordSink, []io.Closer, error) {
+func OpenFiles(outPath, jsonlPath string) (csv, jsonl *os.File, err error) {
 	if outPath != "" && jsonlPath != "" && filepath.Clean(outPath) == filepath.Clean(jsonlPath) {
 		return nil, nil, fmt.Errorf("runner: CSV and JSONL outputs both point at %q; one file cannot carry both streams", outPath)
 	}
 	var files []*os.File
-	fail := func(err error) ([]RecordSink, []io.Closer, error) {
+	fail := func(err error) (*os.File, *os.File, error) {
 		for _, f := range files {
 			f.Close()
 		}
@@ -404,15 +425,13 @@ func FileSinks(w io.Writer, outPath, jsonlPath string) ([]RecordSink, []io.Close
 		}
 		return f, err
 	}
-	var csvFile, jsonlFile *os.File
-	var err error
 	if outPath != "" {
-		if csvFile, err = open(outPath); err != nil {
+		if csv, err = open(outPath); err != nil {
 			return fail(err)
 		}
 	}
 	if jsonlPath != "" {
-		if jsonlFile, err = open(jsonlPath); err != nil {
+		if jsonl, err = open(jsonlPath); err != nil {
 			return fail(err)
 		}
 	}
@@ -421,18 +440,7 @@ func FileSinks(w io.Writer, outPath, jsonlPath string) ([]RecordSink, []io.Close
 			return fail(err)
 		}
 	}
-	if csvFile != nil {
-		w = csvFile
-	}
-	sinks := []RecordSink{NewCSVSink(w)}
-	if jsonlFile != nil {
-		sinks = append(sinks, NewJSONLSink(jsonlFile))
-	}
-	closers := make([]io.Closer, len(files))
-	for i, f := range files {
-		closers[i] = f
-	}
-	return sinks, closers, nil
+	return csv, jsonl, nil
 }
 
 // WriteAll drains a fully-materialized result set through a sink — the

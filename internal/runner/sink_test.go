@@ -366,3 +366,38 @@ func TestCSVSinkRejectsLateNewColumns(t *testing.T) {
 		t.Fatal("record with a new extra accepted after the header froze")
 	}
 }
+
+// TestJSONLSinkMatchesEncodingJSON: each JSONL line is byte for byte what
+// encoding/json writes for the same record, escaping included — HTML
+// characters, the JavaScript line separators, control characters and
+// invalid UTF-8.
+func TestJSONLSinkMatchesEncodingJSON(t *testing.T) {
+	awkward := []string{"<a&b>", "\u2028\u2029", "bad\xff\xfeutf8", `"q"\`, "new\nline\t\x01", "é"}
+	for i, s := range awkward {
+		rec := core.RawRecord{Seq: i, Value: 1e-7, Seconds: 1e21, At: -0.5,
+			Point: doe.Point{"k" + s: doe.Level(s)}, Extra: map[string]string{s: s}}
+		var buf bytes.Buffer
+		sink := NewJSONLSink(&buf)
+		if err := sink.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(struct {
+			Seq     int               `json:"seq"`
+			Rep     int               `json:"rep"`
+			Value   float64           `json:"value"`
+			Seconds float64           `json:"seconds"`
+			At      float64           `json:"at"`
+			Point   map[string]string `json:"point"`
+			Extra   map[string]string `json:"extra"`
+		}{rec.Seq, rec.Rep, rec.Value, rec.Seconds, rec.At, map[string]string{"k" + s: s}, rec.Extra})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.TrimSuffix(buf.String(), "\n"); got != string(want) {
+			t.Errorf("%q:\n got %s\nwant %s", s, got, want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -59,35 +60,39 @@ func roundExec(ctx context.Context, suiteName string, p Plan, workers int, cache
 		}
 		parent := prevKey
 		if cache != nil && cache.Lookup(key) {
-			entry, err := cache.Load(key)
-			if err == nil && len(entry.Records) == d.Size() {
+			r, err := cache.loadRaw(key)
+			var entry *Entry
+			if err == nil && r.Records == d.Size() {
+				entry, err = r.entry()
+			}
+			if err == nil && entry != nil {
 				if rs != nil {
 					if err := entry.Replay(rs); err != nil {
 						return nil, err
 					}
 				}
-				if entry.Round != round || entry.Parent != parent {
+				if r.Round != round || r.Parent != parent {
 					// The same content can enter the cache under another
 					// round position (typically a static run of the seed
 					// design, stored with round 0). Records are identical
 					// by content-addressing, but the round index and the
 					// parent link are what let the comparator reassemble
 					// the chain — refresh them in place.
-					entry.Round = round
-					entry.Parent = parent
-					if err := cache.Store(key, entry); err != nil {
+					r.Round = round
+					r.Parent = parent
+					if err := cache.storeRaw(key, r); err != nil {
 						return nil, err
 					}
 				}
 				if env == nil {
-					env = entry.Env
+					env = r.Env
 				}
-				verdicts = append(verdicts, RoundVerdict{Round: round, Key: key, Hit: true, Records: len(entry.Records)})
+				verdicts = append(verdicts, RoundVerdict{Round: round, Key: key, Hit: true, Records: r.Records})
 				prevKey = key
 				return entry.records(), nil
 			}
-			// A torn or stale entry must not kill the study: fall through
-			// to a cold round, which overwrites it.
+			// A torn, stale or legacy entry must not kill the study: fall
+			// through to a cold round, which overwrites it.
 		}
 		if beforeCold != nil {
 			if err := beforeCold(); err != nil {
@@ -95,9 +100,17 @@ func roundExec(ctx context.Context, suiteName string, p Plan, workers int, cache
 			}
 			beforeCold = nil
 		}
+		// Beside the campaign's own stream (re-based and round-annotated
+		// by rs), the round's records go to a CSV and a JSONL sink in
+		// memory: their bytes are the round's cache entry, identical to
+		// what a static campaign of this design writes.
+		var csv, jsonl bytes.Buffer
 		var sinks []runner.RecordSink
 		if rs != nil {
 			sinks = []runner.RecordSink{rs}
+		}
+		if cache != nil {
+			sinks = append(sinks, runner.NewCSVSink(&csv), runner.NewJSONLSink(&jsonl))
 		}
 		run, err := runner.Run(ctx, d, p.Factory, runner.Config{Workers: workers, Sinks: sinks, Progress: progress})
 		if err != nil {
@@ -107,9 +120,10 @@ func roundExec(ctx context.Context, suiteName string, p Plan, workers int, cache
 			env = run.Env
 		}
 		if cache != nil {
-			if err := cache.Store(key, &Entry{
-				Suite: suiteName, Campaign: p.Campaign.Name, Engine: p.Campaign.Engine,
-				Round: round, Parent: parent, Seed: p.Campaign.Seed, Env: run.Env, Records: toCached(run.Records),
+			if err := cache.storeRaw(key, &rawEntry{
+				entryHead: entryHead{Suite: suiteName, Campaign: p.Campaign.Name, Engine: p.Campaign.Engine,
+					Round: round, Parent: parent, Seed: p.Campaign.Seed, Env: run.Env, Records: len(run.Records)},
+				csv: csv.Bytes(), jsonl: jsonl.Bytes(),
 			}); err != nil {
 				return nil, err
 			}
@@ -130,12 +144,12 @@ func roundExec(ctx context.Context, suiteName string, p Plan, workers int, cache
 // verdicts. beforeCold is forwarded to roundExec (lazy worker
 // acquisition).
 func runAdaptive(ctx context.Context, suiteName string, p Plan, workers int, cache *Cache, cr *CampaignResult, specHash, baseDir string, beforeCold func() error, progress func(done, total int), logf func(string, ...any)) error {
-	sinks, closers, err := openSinks(p.Campaign, baseDir)
+	out, err := openOutputs(p.Campaign, baseDir)
 	if err != nil {
 		return err
 	}
-	defer closeAll(closers)
-	rs := runner.NewRoundSink(sinks...)
+	defer out.close()
+	rs := runner.NewRoundSink(out.sinks(nil, nil)...)
 	logf("suite: %s: adaptive, %d seed trials on %d workers (budget %d trials, %d rounds max)",
 		p.Campaign.Name, p.Design.Size(), workers, p.Adaptive.Budget, p.Adaptive.Rounds)
 	outcome, verdicts, env, err := roundExec(ctx, suiteName, p, workers, cache, rs, beforeCold, progress)

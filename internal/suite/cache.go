@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -132,26 +133,11 @@ type cachedRecord struct {
 	Extra   map[string]string `json:"extra,omitempty"`
 }
 
-func toCached(recs []core.RawRecord) []cachedRecord {
-	out := make([]cachedRecord, len(recs))
-	for i, r := range recs {
-		c := cachedRecord{Seq: r.Seq, Rep: r.Rep, Value: r.Value, Seconds: r.Seconds, At: r.At, Extra: r.Extra}
-		if len(r.Point) > 0 {
-			c.Point = make(map[string]string, len(r.Point))
-			for k, v := range r.Point {
-				c.Point[k] = string(v)
-			}
-		}
-		out[i] = c
-	}
-	return out
-}
-
 // Replay drains the entry's records into the sinks — record for record the
 // sequence a cold run streams, in design order, each sink flushed after its
-// last record. The suite's byte-identical file replay and the differential
-// comparator's replay-to-memory reads (via runner.MemorySink) are the same
-// operation pointed at different sinks.
+// last record. The differential comparator's replay-to-memory reads (via
+// runner.MemorySink) and adaptive rounds go through it; a static suite hit
+// needs no records and copies the entry's bytes instead (see rawEntry).
 func (e *Entry) Replay(sinks ...runner.RecordSink) error {
 	records := e.records()
 	for _, s := range sinks {
@@ -183,10 +169,139 @@ func (e *Entry) records() []core.RawRecord {
 	return out
 }
 
+// Entry payloads come in two formats. Format 1 (legacy) is the JSON
+// encoding of Entry, records array included; it is still decoded, so
+// pinned history and checked-in fixtures stay readable, but nothing writes
+// it any more. Format 2 carries the bytes a cold run streamed:
+//
+//	opaquebench-entry/2\n
+//	{head JSON: provenance, env, record count, section lengths}\n
+//	<CSV section><JSONL section>
+//
+// The CSV section is exactly the campaign's CSV output and the JSONL
+// section exactly its JSONL output, so a static hit is a byte copy into the
+// output files. Each JSONL line is also, byte for byte, what encoding/json
+// writes for one element of a format-1 records array (the JSONL sink
+// reproduces its field order, float format and HTML escaping), so records
+// decode from that section exactly as they did from format 1.
+const entryMagic = "opaquebench-entry/2\n"
+
+// entryHead is a format-2 payload's head line.
+type entryHead struct {
+	Suite    string            `json:"suite,omitempty"`
+	Campaign string            `json:"campaign,omitempty"`
+	Engine   string            `json:"engine"`
+	Round    int               `json:"round,omitempty"`
+	Parent   string            `json:"parent,omitempty"`
+	Seed     uint64            `json:"seed"`
+	Env      *meta.Environment `json:"env"`
+	// Records is the number of records, one per JSONL line.
+	Records int `json:"records"`
+	// CSVBytes and JSONLBytes are the lengths of the two body sections.
+	CSVBytes   int `json:"csv_bytes"`
+	JSONLBytes int `json:"jsonl_bytes"`
+}
+
+// rawEntry is a format-2 entry: its head and its two output sections.
+type rawEntry struct {
+	entryHead
+	csv, jsonl []byte
+}
+
+// newRawEntry encodes an entry's records into the two sections, through the
+// same sinks a cold run streams into.
+func newRawEntry(e *Entry) (*rawEntry, error) {
+	var csv, jsonl bytes.Buffer
+	if err := e.Replay(runner.NewCSVSink(&csv), runner.NewJSONLSink(&jsonl)); err != nil {
+		return nil, err
+	}
+	return &rawEntry{entryHead: e.head(), csv: csv.Bytes(), jsonl: jsonl.Bytes()}, nil
+}
+
+// head is the entry's format-2 head, section lengths aside.
+func (e *Entry) head() entryHead {
+	return entryHead{Suite: e.Suite, Campaign: e.Campaign, Engine: e.Engine, Round: e.Round,
+		Parent: e.Parent, Seed: e.Seed, Env: e.Env, Records: len(e.Records)}
+}
+
+// encode renders the format-2 payload.
+func (r *rawEntry) encode() ([]byte, error) {
+	r.CSVBytes, r.JSONLBytes = len(r.csv), len(r.jsonl)
+	head, err := json.Marshal(&r.entryHead)
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, 0, len(entryMagic)+len(head)+1+len(r.csv)+len(r.jsonl))
+	data = append(data, entryMagic...)
+	data = append(data, head...)
+	data = append(data, '\n')
+	data = append(data, r.csv...)
+	return append(data, r.jsonl...), nil
+}
+
+// parseRawEntry splits a format-2 payload without decoding any record. It
+// refuses a payload of any other format and one whose sections do not add
+// up: the head must be whole, the section lengths must cover the body
+// exactly, and the JSONL section must hold one complete line per record.
+func parseRawEntry(data []byte) (*rawEntry, error) {
+	rest, ok := bytes.CutPrefix(data, []byte(entryMagic))
+	if !ok {
+		return nil, errors.New("not a format-2 entry")
+	}
+	head, body, ok := bytes.Cut(rest, []byte{'\n'})
+	if !ok {
+		return nil, errors.New("torn entry head")
+	}
+	r := &rawEntry{}
+	if err := json.Unmarshal(head, &r.entryHead); err != nil {
+		return nil, fmt.Errorf("entry head: %w", err)
+	}
+	if r.CSVBytes < 0 || r.JSONLBytes < 0 || r.CSVBytes+r.JSONLBytes != len(body) {
+		return nil, fmt.Errorf("entry sections of %d and %d bytes do not match its %d-byte body", r.CSVBytes, r.JSONLBytes, len(body))
+	}
+	r.csv, r.jsonl = body[:r.CSVBytes:r.CSVBytes], body[r.CSVBytes:]
+	if n := bytes.Count(r.jsonl, []byte{'\n'}); n != r.Records || (n > 0 && r.jsonl[len(r.jsonl)-1] != '\n') {
+		return nil, fmt.Errorf("entry claims %d records but its JSONL section holds %d lines", r.Records, n)
+	}
+	return r, nil
+}
+
+// entry decodes the records from the JSONL section, one line per record.
+func (r *rawEntry) entry() (*Entry, error) {
+	e := &Entry{Suite: r.Suite, Campaign: r.Campaign, Engine: r.Engine, Round: r.Round,
+		Parent: r.Parent, Seed: r.Seed, Env: r.Env, Records: make([]cachedRecord, r.Records)}
+	rest := r.jsonl
+	for i := range e.Records {
+		n := bytes.IndexByte(rest, '\n')
+		if err := json.Unmarshal(rest[:n], &e.Records[i]); err != nil {
+			return nil, fmt.Errorf("entry record %d: %w", i, err)
+		}
+		rest = rest[n+1:]
+	}
+	return e, nil
+}
+
+// decodeEntry decodes a payload of either format — the one reader every
+// record consumer (Load, ImportDirToStore) goes through.
+func decodeEntry(data []byte) (*Entry, error) {
+	if !bytes.HasPrefix(data, []byte(entryMagic)) {
+		var e Entry
+		if err := json.Unmarshal(data, &e); err != nil {
+			return nil, err
+		}
+		return &e, nil
+	}
+	r, err := parseRawEntry(data)
+	if err != nil {
+		return nil, err
+	}
+	return r.entry()
+}
+
 // Cache is a content-addressed cache of entries keyed by campaign key. It
 // has two interchangeable backends with identical semantics — atomic
-// last-write-wins stores, JSON entry payloads, sorted Keys — so everything
-// above it (suite runs, the serve daemon, the comparator) is
+// last-write-wins stores of the same format-2 payload bytes, sorted Keys —
+// so everything above it (suite runs, the serve daemon, the comparator) is
 // backend-agnostic:
 //
 //   - a directory of <key>.json files (one file per entry, temp+rename
@@ -268,8 +383,8 @@ func (c *Cache) Lookup(key string) bool {
 	return err == nil
 }
 
-// Load reads the entry for key.
-func (c *Cache) Load(key string) (*Entry, error) {
+// get reads the payload stored under key.
+func (c *Cache) get(key string) ([]byte, error) {
 	var data []byte
 	var err error
 	if c.st != nil {
@@ -280,25 +395,60 @@ func (c *Cache) Load(key string) (*Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("suite: cache load: %w", err)
 	}
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil {
+	return data, nil
+}
+
+// Load reads and decodes the entry for key, records included, from a
+// payload of either format.
+func (c *Cache) Load(key string) (*Entry, error) {
+	data, err := c.get(key)
+	if err != nil {
+		return nil, err
+	}
+	e, err := decodeEntry(data)
+	if err != nil {
 		return nil, fmt.Errorf("suite: cache entry %s: %w", key, err)
 	}
-	return &e, nil
+	return e, nil
+}
+
+// loadRaw reads the format-2 entry for key without decoding its records.
+// A legacy payload is refused like a torn one: a hit must be a byte copy.
+func (c *Cache) loadRaw(key string) (*rawEntry, error) {
+	data, err := c.get(key)
+	if err != nil {
+		return nil, err
+	}
+	r, err := parseRawEntry(data)
+	if err != nil {
+		return nil, fmt.Errorf("suite: cache entry %s: %w", key, err)
+	}
+	return r, nil
 }
 
 // Store writes the entry for key atomically, replacing any previous entry
-// (last write wins on both backends). The directory backend writes a temp
-// file and renames it, so a crashed or concurrent writer can never leave a
-// torn entry behind; the store backend appends one checksummed frame, whose
-// recovery rule gives the same guarantee.
+// (last write wins on both backends). The records are encoded once, into
+// the format-2 sections; they must therefore suit the CSV sink (one factor
+// and extra key set), as every engine's records do.
 func (c *Cache) Store(key string, e *Entry) error {
-	data, err := json.Marshal(e)
+	r, err := newRawEntry(e)
+	if err != nil {
+		return fmt.Errorf("suite: cache encode: %w", err)
+	}
+	return c.storeRaw(key, r)
+}
+
+// storeRaw writes a format-2 entry for key. The directory backend writes a
+// temp file and renames it, so a crashed or concurrent writer can never
+// leave a torn entry behind; the store backend appends one checksummed
+// frame, whose recovery rule gives the same guarantee.
+func (c *Cache) storeRaw(key string, r *rawEntry) error {
+	data, err := r.encode()
 	if err != nil {
 		return fmt.Errorf("suite: cache encode: %w", err)
 	}
 	if c.st != nil {
-		if err := c.st.Put(key, data, entryMeta(e)); err != nil {
+		if err := c.st.Put(key, data, r.meta()); err != nil {
 			return fmt.Errorf("suite: cache store: %w", err)
 		}
 		return nil

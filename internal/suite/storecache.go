@@ -1,7 +1,6 @@
 package suite
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -9,13 +8,13 @@ import (
 )
 
 // The store backend keeps the cache contract — identical keys, identical
-// entry JSON bytes, last write wins — and adds what a directory of files
+// entry payload bytes, last write wins — and adds what a directory of files
 // cannot: queryable per-entry metadata (suite, campaign, engine, round,
 // environment, time of run), named pinned runs with refcount GC, provenance
 // chains across adaptive rounds, and a crash-recovery proof per entry (each
-// is one checksummed frame in the append-only log). Suite runs are
-// byte-identical on either backend because both serve the same JSON payload
-// through the same Entry.Replay path.
+// is one checksummed frame in the append-only log). The store treats the
+// payload as opaque bytes. Suite runs are byte-identical on either backend
+// because both hand the same payload to the same hit path.
 
 // OpenCacheStore opens (creating if needed) a store-backed cache at path —
 // a single log file, not a directory.
@@ -48,23 +47,23 @@ func NewStoreCache(st *store.Store) *Cache {
 // comparator's run loader use.
 func (c *Cache) Backing() *store.Store { return c.st }
 
-// entryMeta derives the store's queryable metadata from a cache entry. The
+// meta derives the store's queryable metadata from an entry head. The
 // environment's capture time is the entry's time of run; its descriptor
 // fields become the store's flat Env map.
-func entryMeta(e *Entry) store.Meta {
+func (h *entryHead) meta() store.Meta {
 	m := store.Meta{
-		Suite:    e.Suite,
-		Campaign: e.Campaign,
-		Engine:   e.Engine,
-		Round:    e.Round,
-		Seed:     e.Seed,
-		Parent:   e.Parent,
+		Suite:    h.Suite,
+		Campaign: h.Campaign,
+		Engine:   h.Engine,
+		Round:    h.Round,
+		Seed:     h.Seed,
+		Parent:   h.Parent,
 	}
-	if e.Env != nil {
-		m.RanAt = e.Env.CapturedAt
-		if len(e.Env.Fields) > 0 {
-			m.Env = make(map[string]string, len(e.Env.Fields))
-			for k, v := range e.Env.Fields {
+	if h.Env != nil {
+		m.RanAt = h.Env.CapturedAt
+		if len(h.Env.Fields) > 0 {
+			m.Env = make(map[string]string, len(h.Env.Fields))
+			for k, v := range h.Env.Fields {
 				m.Env[k] = v
 			}
 		}
@@ -96,11 +95,12 @@ func ImportDirToStore(dir string, st *store.Store) ([]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("suite: import %s: %w", key, err)
 		}
-		var e Entry
-		if err := json.Unmarshal(data, &e); err != nil {
+		e, err := decodeEntry(data)
+		if err != nil {
 			return nil, fmt.Errorf("suite: import %s: %w", key, err)
 		}
-		if err := st.Put(key, data, entryMeta(&e)); err != nil {
+		head := e.head()
+		if err := st.Put(key, data, head.meta()); err != nil {
 			return nil, fmt.Errorf("suite: import %s: %w", key, err)
 		}
 	}

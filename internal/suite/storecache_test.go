@@ -26,47 +26,17 @@ func openTestStoreCache(t *testing.T) (*Cache, string) {
 	return c, path
 }
 
-// TestStoreBackendByteIdentical is the dual-backend half of the suite
-// determinism guarantee: the same suite runs cold and warm through a
-// store-backed cache at workers 1, 4 and 8, and every sink file is
-// byte-identical to the serial reference — and to the directory-backed
-// warm run, verdict JSON included, when the store was imported from that
-// directory cache.
+// TestStoreBackendByteIdentical is the cross-backend half of the suite
+// determinism guarantee (TestCacheReplayByteIdentical runs each backend
+// cold and warm): at workers 1, 4 and 8, a store imported from a directory
+// cache replays every output byte-identically to the directory itself,
+// verdict JSON included.
 func TestStoreBackendByteIdentical(t *testing.T) {
-	ref := parseTestSpec(t)
-	refDir := t.TempDir()
-	serialReference(t, ref, refDir)
-
 	for _, workers := range []int{1, 4, 8} {
-		// Cold then warm through a fresh store-backed cache.
 		spec := parseTestSpec(t)
 		for i := range spec.Campaigns {
 			spec.Campaigns[i].Workers = workers
 		}
-		cache, _ := openTestStoreCache(t)
-		coldDir := t.TempDir()
-		cold, err := Run(context.Background(), spec, Options{Cache: cache, BaseDir: coldDir, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers %d: cold store run: %v", workers, err)
-		}
-		for _, cr := range cold.Campaigns {
-			if cr.Hit || cr.Trials == 0 {
-				t.Errorf("workers %d: cold %s: verdict %s, %d trials", workers, cr.Name, cr.Verdict(), cr.Trials)
-			}
-		}
-		compareSinks(t, spec, refDir, coldDir, "store cold")
-
-		warmDir := t.TempDir()
-		warm, err := Run(context.Background(), spec, Options{Cache: cache, BaseDir: warmDir, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers %d: warm store run: %v", workers, err)
-		}
-		for _, cr := range warm.Campaigns {
-			if !cr.Hit || cr.Trials != 0 {
-				t.Errorf("workers %d: warm %s: verdict %s, %d trials", workers, cr.Name, cr.Verdict(), cr.Trials)
-			}
-		}
-		compareSinks(t, spec, refDir, warmDir, "store warm")
 
 		// Cross-backend: a directory cache warmed by its own cold run,
 		// imported into a store — the two warm replays must agree byte for
@@ -82,7 +52,7 @@ func TestStoreBackendByteIdentical(t *testing.T) {
 			t.Fatalf("workers %d: warm dir run: %v", workers, err)
 		}
 
-		imported, importedPath := openTestStoreCache(t)
+		imported, _ := openTestStoreCache(t)
 		if _, err := ImportDirToStore(cacheDir, imported.Backing()); err != nil {
 			t.Fatalf("workers %d: import: %v", workers, err)
 		}
@@ -116,7 +86,6 @@ func TestStoreBackendByteIdentical(t *testing.T) {
 		if _, err := imported.Backing().Verify(); err != nil {
 			t.Errorf("workers %d: imported store Verify: %v", workers, err)
 		}
-		_ = importedPath
 	}
 }
 

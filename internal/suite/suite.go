@@ -29,6 +29,7 @@
 package suite
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -360,17 +361,15 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 			}
 
 			if cache != nil && cache.Lookup(p.Key) {
-				entry, err := cache.Load(p.Key)
+				n, err := replayHit(cache, p, specHash, opts.BaseDir)
 				if err == nil {
-					if err = replay(entry, p, specHash, opts.BaseDir); err == nil {
-						cr.Hit = true
-						cr.Records = len(entry.Records)
-						logf("suite: %s: hit — %d records replayed", cr.Name, cr.Records)
-						return
-					}
+					cr.Hit = true
+					cr.Records = n
+					logf("suite: %s: hit — %d records replayed", cr.Name, cr.Records)
+					return
 				}
-				// A torn or stale entry must not kill the study: fall
-				// through to a cold run, which overwrites it.
+				// A torn, stale or legacy entry must not kill the study:
+				// fall through to a cold run, which overwrites it.
 				logf("suite: %s: cache entry unusable (%v), running cold", cr.Name, err)
 			}
 
@@ -380,7 +379,7 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 			}
 			defer release(workers)
 			logf("suite: %s: miss — running %d trials on %d workers", cr.Name, p.Design.Size(), workers)
-			run, err := execute(ctx, p, workers, specHash, opts.BaseDir, progressFor(p.Campaign.Name))
+			run, raw, err := execute(ctx, p, workers, specHash, opts.BaseDir, progressFor(p.Campaign.Name), cache != nil)
 			if err != nil {
 				cr.Err = campErr(p, err)
 				return
@@ -388,10 +387,9 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 			cr.Trials = len(run.Records)
 			cr.Records = len(run.Records)
 			if cache != nil {
-				if err := cache.Store(p.Key, &Entry{
-					Suite: spec.Name, Campaign: p.Campaign.Name, Engine: p.Campaign.Engine,
-					Seed: p.Campaign.Seed, Env: run.Env, Records: toCached(run.Records),
-				}); err != nil {
+				raw.entryHead = entryHead{Suite: spec.Name, Campaign: p.Campaign.Name, Engine: p.Campaign.Engine,
+					Seed: p.Campaign.Seed, Env: run.Env, Records: len(run.Records)}
+				if err := cache.storeRaw(p.Key, raw); err != nil {
 					cr.Err = campErr(p, err)
 				}
 			}
@@ -440,58 +438,143 @@ func suiteEnv(spec *Spec, res *Result) *meta.Environment {
 }
 
 // execute runs one campaign cold through the parallel runner, streaming
-// into its sinks.
-func execute(ctx context.Context, p Plan, workers int, specHash, baseDir string, progress func(done, total int)) (*core.Results, error) {
-	sinks, closers, err := openSinks(p.Campaign, baseDir)
+// into its sinks. With keep set it also returns the sections of the
+// campaign's cache entry: a copy of every byte the CSV and JSONL sinks
+// wrote, the JSONL sink running even when the campaign names no JSONL
+// file. The caller fills in the entry head.
+func execute(ctx context.Context, p Plan, workers int, specHash, baseDir string, progress func(done, total int), keep bool) (_ *core.Results, _ *rawEntry, err error) {
+	out, err := openOutputs(p.Campaign, baseDir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer closeAll(closers)
-	run, err := runner.Run(ctx, p.Design, p.Factory, runner.Config{Workers: workers, Sinks: sinks, Progress: progress})
+	defer func() {
+		if cerr := out.close(); err == nil {
+			err = cerr
+		}
+	}()
+	var csv, jsonl *bytes.Buffer
+	if keep {
+		csv, jsonl = new(bytes.Buffer), new(bytes.Buffer)
+	}
+	run, err := runner.Run(ctx, p.Design, p.Factory, runner.Config{Workers: workers, Sinks: out.sinks(csv, jsonl), Progress: progress})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := writeCampaignEnv(p, run.Env, "miss", specHash, baseDir); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return run, nil
+	if !keep {
+		return run, nil, nil
+	}
+	return run, &rawEntry{csv: csv.Bytes(), jsonl: jsonl.Bytes()}, nil
 }
 
-// replay drains a cached entry into the campaign's sinks. The sinks see
-// the identical record sequence a cold run streams, so the files come out
-// byte-identical.
-func replay(entry *Entry, p Plan, specHash, baseDir string) error {
-	sinks, closers, err := openSinks(p.Campaign, baseDir)
+// replayHit serves a static campaign from its cache entry: the entry's CSV
+// and JSONL sections are the bytes the cold run streamed, so copying them
+// into the output files reproduces the cold run's files exactly, with no
+// record decoded or encoded. It reports the entry's record count. An entry
+// that is not a sound format-2 payload is an error, and touches no output.
+func replayHit(cache *Cache, p Plan, specHash, baseDir string) (int, error) {
+	r, err := cache.loadRaw(p.Key)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	defer closeAll(closers)
-	if err := entry.Replay(sinks...); err != nil {
-		return err
+	out, err := openOutputs(p.Campaign, baseDir)
+	if err != nil {
+		return 0, err
 	}
-	env := entry.Env
+	for _, w := range []struct {
+		f    *os.File
+		data []byte
+	}{{out.csv, r.csv}, {out.jsonl, r.jsonl}} {
+		if w.f == nil {
+			continue
+		}
+		if _, err := w.f.Write(w.data); err != nil {
+			out.close()
+			return 0, err
+		}
+	}
+	if err := out.close(); err != nil {
+		return 0, err
+	}
+	env := r.Env
 	if env == nil {
 		env = meta.New()
 	}
-	return writeCampaignEnv(p, env, "hit", specHash, baseDir)
+	return r.Records, writeCampaignEnv(p, env, "hit", specHash, baseDir)
 }
 
-// openSinks opens the campaign's CSV/JSONL files (creating parent
-// directories), reusing the runner's preservation guarantees. A campaign
-// with no CSV path still gets a CSV sink draining to io.Discard, which
-// keeps the record path uniform.
-func openSinks(c Campaign, baseDir string) ([]runner.RecordSink, []io.Closer, error) {
-	out := resolvePath(baseDir, c.Out)
-	jsonl := resolvePath(baseDir, c.JSONL)
-	for _, path := range []string{out, jsonl, resolvePath(baseDir, c.Env)} {
+// outputs holds a campaign's open CSV and JSONL files; either is nil when
+// the campaign names no such path.
+type outputs struct {
+	csv, jsonl *os.File
+}
+
+// openOutputs opens the campaign's CSV/JSONL files (creating parent
+// directories, the env file's included) through runner.OpenFiles, which
+// rejects colliding paths and truncates nothing until every file is open.
+func openOutputs(c Campaign, baseDir string) (*outputs, error) {
+	csvPath := resolvePath(baseDir, c.Out)
+	jsonlPath := resolvePath(baseDir, c.JSONL)
+	for _, path := range []string{csvPath, jsonlPath, resolvePath(baseDir, c.Env)} {
 		if path == "" {
 			continue
 		}
 		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return runner.FileSinks(io.Discard, out, jsonl)
+	csv, jsonl, err := runner.OpenFiles(csvPath, jsonlPath)
+	if err != nil {
+		return nil, err
+	}
+	return &outputs{csv: csv, jsonl: jsonl}, nil
+}
+
+// sinks returns the campaign's record sinks: a CSV sink on the CSV file
+// (draining to io.Discard when there is none, which keeps the record path
+// uniform) and a JSONL sink on the JSONL file. A non-nil buffer receives a
+// copy of its stream's bytes, and a JSONL buffer makes the JSONL sink run
+// even without a file.
+func (o *outputs) sinks(csv, jsonl *bytes.Buffer) []runner.RecordSink {
+	w := tee(o.csv, csv)
+	if w == nil {
+		w = io.Discard
+	}
+	sinks := []runner.RecordSink{runner.NewCSVSink(w)}
+	if w := tee(o.jsonl, jsonl); w != nil {
+		sinks = append(sinks, runner.NewJSONLSink(w))
+	}
+	return sinks
+}
+
+// tee is the writer one output stream goes to: its file, its buffer, both,
+// or nil when neither is set.
+func tee(f *os.File, buf *bytes.Buffer) io.Writer {
+	switch {
+	case f != nil && buf != nil:
+		return io.MultiWriter(f, buf)
+	case f != nil:
+		return f
+	case buf != nil:
+		return buf
+	}
+	return nil
+}
+
+// close closes the open files and reports the first failure.
+func (o *outputs) close() error {
+	var first error
+	for _, f := range []*os.File{o.csv, o.jsonl} {
+		if f == nil {
+			continue
+		}
+		if err := f.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // writeCampaignEnv writes the campaign's environment JSON (when requested)
@@ -522,10 +605,4 @@ func resolvePath(base, path string) string {
 		return path
 	}
 	return filepath.Join(base, path)
-}
-
-func closeAll(closers []io.Closer) {
-	for _, c := range closers {
-		c.Close()
-	}
 }

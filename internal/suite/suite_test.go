@@ -76,9 +76,9 @@ func compareSinks(t *testing.T, spec *Spec, refDir, dir, label string) {
 
 // TestCacheReplayByteIdentical is the suite determinism guarantee: a suite
 // of three campaigns (one per engine) runs cold at workers 1, 4 and 8 and
-// then warm from the cache, and every CSV/JSONL file — cold, warm, any
-// worker count — is byte-identical to a cold serial core.Campaign run,
-// with the warm run executing zero trials.
+// then warm from the cache, on each backend, and every CSV/JSONL file —
+// cold, warm, any worker count — is byte-identical to a cold serial
+// core.Campaign run, with the warm run executing zero trials.
 func TestCacheReplayByteIdentical(t *testing.T) {
 	spec := parseTestSpec(t)
 	refDir := t.TempDir()
@@ -89,41 +89,45 @@ func TestCacheReplayByteIdentical(t *testing.T) {
 		for i := range spec.Campaigns {
 			spec.Campaigns[i].Workers = workers
 		}
-		cacheDir := t.TempDir()
-		coldDir := t.TempDir()
-		warmDir := t.TempDir()
+		// A campaign without a JSONL file still stores its JSONL section:
+		// without it the entry could not hit.
+		spec.Campaigns[1].JSONL = ""
+		for _, b := range testBackends(t) {
+			coldDir := t.TempDir()
+			warmDir := t.TempDir()
 
-		cold, err := Run(context.Background(), spec, Options{
-			CacheDir: cacheDir, BaseDir: coldDir, Workers: workers,
-		})
-		if err != nil {
-			t.Fatalf("workers %d: cold run: %v", workers, err)
-		}
-		for _, cr := range cold.Campaigns {
-			if cr.Hit || cr.Trials == 0 {
-				t.Errorf("workers %d: cold %s: verdict %s, %d trials", workers, cr.Name, cr.Verdict(), cr.Trials)
+			cold, err := Run(context.Background(), spec, Options{
+				Cache: b.c, BaseDir: coldDir, Workers: workers,
+			})
+			if err != nil {
+				t.Fatalf("%s workers %d: cold run: %v", b.name, workers, err)
 			}
-		}
-		compareSinks(t, spec, refDir, coldDir, "cold")
+			for _, cr := range cold.Campaigns {
+				if cr.Hit || cr.Trials == 0 {
+					t.Errorf("%s workers %d: cold %s: verdict %s, %d trials", b.name, workers, cr.Name, cr.Verdict(), cr.Trials)
+				}
+			}
+			compareSinks(t, spec, refDir, coldDir, b.name+" cold")
 
-		warm, err := Run(context.Background(), spec, Options{
-			CacheDir: cacheDir, BaseDir: warmDir, Workers: workers,
-		})
-		if err != nil {
-			t.Fatalf("workers %d: warm run: %v", workers, err)
-		}
-		for _, cr := range warm.Campaigns {
-			if !cr.Hit {
-				t.Errorf("workers %d: warm %s: verdict %s", workers, cr.Name, cr.Verdict())
+			warm, err := Run(context.Background(), spec, Options{
+				Cache: b.c, BaseDir: warmDir, Workers: workers,
+			})
+			if err != nil {
+				t.Fatalf("%s workers %d: warm run: %v", b.name, workers, err)
 			}
-			if cr.Trials != 0 {
-				t.Errorf("workers %d: warm %s executed %d trials, want 0", workers, cr.Name, cr.Trials)
+			for _, cr := range warm.Campaigns {
+				if !cr.Hit {
+					t.Errorf("%s workers %d: warm %s: verdict %s", b.name, workers, cr.Name, cr.Verdict())
+				}
+				if cr.Trials != 0 {
+					t.Errorf("%s workers %d: warm %s executed %d trials, want 0", b.name, workers, cr.Name, cr.Trials)
+				}
 			}
-		}
-		compareSinks(t, spec, refDir, warmDir, "warm")
+			compareSinks(t, spec, refDir, warmDir, b.name+" warm")
 
-		if cold.SpecHash != warm.SpecHash {
-			t.Errorf("workers %d: spec hash moved between runs", workers)
+			if cold.SpecHash != warm.SpecHash {
+				t.Errorf("%s workers %d: spec hash moved between runs", b.name, workers)
+			}
 		}
 	}
 }
