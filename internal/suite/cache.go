@@ -260,7 +260,7 @@ func parseRawEntry(data []byte) (*rawEntry, error) {
 		return nil, fmt.Errorf("entry sections of %d and %d bytes do not match its %d-byte body", r.CSVBytes, r.JSONLBytes, len(body))
 	}
 	r.csv, r.jsonl = body[:r.CSVBytes:r.CSVBytes], body[r.CSVBytes:]
-	if n := bytes.Count(r.jsonl, []byte{'\n'}); n != r.Records || (n > 0 && r.jsonl[len(r.jsonl)-1] != '\n') {
+	if n := bytes.Count(r.jsonl, []byte{'\n'}); n != r.Records || (len(r.jsonl) > 0 && r.jsonl[len(r.jsonl)-1] != '\n') {
 		return nil, fmt.Errorf("entry claims %d records but its JSONL section holds %d lines", r.Records, n)
 	}
 	return r, nil
@@ -427,7 +427,9 @@ func (c *Cache) loadRaw(key string) (*rawEntry, error) {
 }
 
 // Store writes the entry for key atomically, replacing any previous entry
-// (last write wins on both backends). The records are encoded once, into
+// (last write wins on both backends). It exists for tests and tools that
+// build entries from records: suite runs write the bytes their cold runs
+// streamed instead, through storeRaw. The records are encoded once, into
 // the format-2 sections; they must therefore suit the CSV sink (one factor
 // and extra key set), as every engine's records do.
 func (c *Cache) Store(key string, e *Entry) error {

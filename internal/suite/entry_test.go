@@ -236,6 +236,18 @@ func TestUnusableEntryFallsBackToColdRun(t *testing.T) {
 			}
 			return out
 		}},
+		{"zero records, JSONL tail not a whole line", func(t *testing.T, c *Cache, p []byte) []byte {
+			r, err := parseRawEntry(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Records, r.jsonl = 0, []byte("{")
+			out, err := r.encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}},
 		{"legacy payload", func(t *testing.T, c *Cache, p []byte) []byte {
 			e, err := c.Load(key)
 			if err != nil {

@@ -89,9 +89,6 @@ func TestCacheReplayByteIdentical(t *testing.T) {
 		for i := range spec.Campaigns {
 			spec.Campaigns[i].Workers = workers
 		}
-		// A campaign without a JSONL file still stores its JSONL section:
-		// without it the entry could not hit.
-		spec.Campaigns[1].JSONL = ""
 		for _, b := range testBackends(t) {
 			coldDir := t.TempDir()
 			warmDir := t.TempDir()
@@ -128,6 +125,43 @@ func TestCacheReplayByteIdentical(t *testing.T) {
 			if cold.SpecHash != warm.SpecHash {
 				t.Errorf("%s workers %d: spec hash moved between runs", b.name, workers)
 			}
+		}
+	}
+}
+
+// TestEntryWithoutJSONLFileReplays: a campaign that names no JSONL file
+// still stores its JSONL section, so its entry hits both a rerun without
+// the file and a rerun that adds it, and the added file is byte-identical
+// to the serial reference.
+func TestEntryWithoutJSONLFileReplays(t *testing.T) {
+	full := parseTestSpec(t)
+	refDir := t.TempDir()
+	serialReference(t, full, refDir)
+
+	noJSONL := parseTestSpec(t)
+	noJSONL.Campaigns[1].JSONL = ""
+	for _, b := range testBackends(t) {
+		coldDir := t.TempDir()
+		if _, err := Run(context.Background(), noJSONL, Options{Cache: b.c, BaseDir: coldDir}); err != nil {
+			t.Fatalf("%s: cold run: %v", b.name, err)
+		}
+		compareSinks(t, noJSONL, refDir, coldDir, b.name+" cold")
+		if _, err := os.Stat(filepath.Join(coldDir, full.Campaigns[1].JSONL)); !os.IsNotExist(err) {
+			t.Errorf("%s: cold run wrote an unrequested JSONL file: %v", b.name, err)
+		}
+
+		for _, spec := range []*Spec{noJSONL, full} {
+			warmDir := t.TempDir()
+			warm, err := Run(context.Background(), spec, Options{Cache: b.c, BaseDir: warmDir})
+			if err != nil {
+				t.Fatalf("%s: warm run: %v", b.name, err)
+			}
+			for _, cr := range warm.Campaigns {
+				if !cr.Hit || cr.Trials != 0 {
+					t.Errorf("%s: warm %s: verdict %s, %d trials", b.name, cr.Name, cr.Verdict(), cr.Trials)
+				}
+			}
+			compareSinks(t, spec, refDir, warmDir, b.name+" warm")
 		}
 	}
 }
