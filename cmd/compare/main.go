@@ -1,5 +1,5 @@
 // Command compare is the differential campaign comparator: it loads two
-// suite runs from their content-addressed cache directories, pairs the
+// suite runs from their content-addressed cache store files, pairs the
 // campaigns by name, and gates each pair statistically — a bootstrap
 // confidence interval on the median shift, oriented by the engine's metric
 // direction, with a practical-significance floor. The output is a
@@ -28,14 +28,15 @@ import (
 	"opaquebench/internal/compare"
 )
 
-const usage = `Usage: compare [flags] <baseline-cache> <candidate-cache>
+const usage = `Usage: compare [flags] <baseline-store> <candidate-store>
        compare -trend [flags] <result-store>
 
 Compare two suite runs campaign by campaign (paired by name) and gate on
-statistically backed regressions. Both arguments are suite result caches —
-directories (cmd/suite run -cache-dir) or embedded store files (cmd/suite
-run -cache-store), auto-detected; the comparison replays the cached raw
-records in memory and touches neither cache.
+statistically backed regressions. Both arguments are suite result store
+files (cmd/suite run -cache-store); the comparison opens them read-only,
+replays the cached raw records in memory and touches neither store. A
+legacy cache directory must first be imported with
+"suite store import <store> <dir>".
 
 Exit status 0 means every campaign passed or improved; any regressed or
 incomparable campaign exits 1.
@@ -70,7 +71,7 @@ func run(args []string, stdout io.Writer) error {
 	seed := fs.Uint64("seed", 0, "bootstrap seed (default 1)")
 	minShift := fs.Float64("min-shift", 0, "practical-significance floor on the relative median shift (default 0.01)")
 	quiet := fs.Bool("q", false, "suppress the per-campaign verdict lines")
-	trend := fs.Bool("trend", false, "judge the pinned runs of a result store for sustained drift instead of comparing two caches")
+	trend := fs.Bool("trend", false, "judge the pinned runs of a result store for sustained drift instead of comparing two stores")
 	last := fs.Int("last", 0, "with -trend, restrict the window to the most recent N runs (0 = all)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,13 +92,13 @@ func run(args []string, stdout io.Writer) error {
 		return runTrend(fs.Arg(0), *last, gate, *out, *quiet, stdout)
 	}
 	if fs.NArg() != 2 {
-		return fmt.Errorf("want exactly two cache directory arguments, got %d\n\n%s", fs.NArg(), usage)
+		return fmt.Errorf("want exactly two result-store arguments, got %d\n\n%s", fs.NArg(), usage)
 	}
-	baseline, err := compare.LoadCacheDir(fs.Arg(0))
+	baseline, err := compare.LoadStore(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	candidate, err := compare.LoadCacheDir(fs.Arg(1))
+	candidate, err := compare.LoadStore(fs.Arg(1))
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -26,7 +27,8 @@ const specTemplate = `{
   ]
 }`
 
-// runSuite executes a spec cold into a fresh cache directory and returns it.
+// runSuite executes a spec cold into a fresh cache store and returns its
+// path.
 func runSuite(t *testing.T, dutyField string) string {
 	t.Helper()
 	src := strings.Replace(specTemplate, "%s", dutyField, 1)
@@ -34,13 +36,18 @@ func runSuite(t *testing.T, dutyField string) string {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	cacheDir := filepath.Join(t.TempDir(), "cache")
+	path := filepath.Join(t.TempDir(), "cache.store")
+	cache, err := suite.OpenCacheStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
 	if _, err := suite.Run(context.Background(), spec, suite.Options{
-		CacheDir: cacheDir, BaseDir: t.TempDir(),
+		Cache: cache, BaseDir: t.TempDir(),
 	}); err != nil {
 		t.Fatalf("suite run: %v", err)
 	}
-	return cacheDir
+	return path
 }
 
 func TestSelfComparisonExitsClean(t *testing.T) {
@@ -90,11 +97,46 @@ func TestRegressionGatesWithNonzeroExit(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"onlyone"}, &out); err == nil || !strings.Contains(err.Error(), "two cache directory") {
+	if err := run([]string{"onlyone"}, &out); err == nil || !strings.Contains(err.Error(), "two result-store") {
 		t.Fatalf("single argument accepted: %v", err)
 	}
 	if err := run([]string{"/nonexistent/a", "/nonexistent/b"}, &out); err == nil {
-		t.Fatal("missing cache directories accepted")
+		t.Fatal("missing stores accepted")
+	}
+}
+
+// TestLegacyDirectoryNamesImport: a legacy cache directory where a store
+// file belongs fails with an error naming the import command, on every
+// path that opens a cache store.
+func TestLegacyDirectoryNamesImport(t *testing.T) {
+	legacy := filepath.Join("testdata", "trend", "run1")
+	store := runSuite(t, "")
+	for _, tc := range []struct {
+		name string
+		open func() error
+	}{
+		{"OpenCacheStore", func() error {
+			c, err := suite.OpenCacheStore(legacy)
+			if err == nil {
+				c.Close()
+			}
+			return err
+		}},
+		{"ReadCacheStore", func() error {
+			c, err := suite.ReadCacheStore(legacy)
+			if err == nil {
+				c.Close()
+			}
+			return err
+		}},
+		{"compare baseline", func() error { return run([]string{"-q", legacy, store}, io.Discard) }},
+		{"compare candidate", func() error { return run([]string{"-q", store, legacy}, io.Discard) }},
+		{"compare -trend", func() error { return run([]string{"-trend", "-q", legacy}, io.Discard) }},
+	} {
+		err := tc.open()
+		if err == nil || !strings.Contains(err.Error(), "suite store import <store> "+legacy) {
+			t.Errorf("%s: err = %v, want one naming suite store import", tc.name, err)
+		}
 	}
 }
 
@@ -140,7 +182,7 @@ func TestGoldenMarkdownComparison(t *testing.T) {
 
 // --- Trend mode ----------------------------------------------------------
 
-// The trend fixture is three checked-in cache-run directories under
+// The trend fixture is three checked-in legacy cache directories under
 // testdata/trend/run{1,2,3}: a "cpu" campaign whose median decays run over
 // run (a worsening drift on a higher-is-better metric) and a "mem"
 // campaign cached byte-identically in every run. Keys are fixed strings —

@@ -41,8 +41,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("served", flag.ContinueOnError)
 	addr := fs.String("addr", "localhost:8080", "listen address")
 	dataDir := fs.String("data-dir", "served-data", "directory for per-job outputs and the shared cache")
-	cacheDir := fs.String("cache-dir", "", "override the shared result cache directory (default data-dir/cache)")
-	cacheStore := fs.String("cache-store", "", "back the shared result cache with an embedded single-file store at this path (overrides -cache-dir)")
+	cacheStore := fs.String("cache-store", "", "the shared result cache's store file (default data-dir/cache.store)")
 	workers := fs.Int("workers", 0, "global worker budget across all running suites (0 = GOMAXPROCS)")
 	slots := fs.Int("slots", 2, "suite jobs allowed to run concurrently")
 	drainTimeout := fs.Duration("drain-timeout", 5*time.Minute, "how long shutdown waits for running jobs")
@@ -62,7 +61,6 @@ func run(args []string, stdout io.Writer) error {
 		Workers:    *workers,
 		Slots:      *slots,
 		DataDir:    *dataDir,
-		CacheDir:   *cacheDir,
 		CacheStore: *cacheStore,
 		Log:        logw,
 	})
@@ -76,12 +74,8 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cacheDesc := srv.CacheDir()
-	if *cacheStore != "" {
-		cacheDesc = "store " + *cacheStore
-	}
 	fmt.Fprintf(stdout, "served: listening on http://%s (workers %d, slots %d, cache %s)\n",
-		ln.Addr(), srv.Budget().Cap(), *slots, cacheDesc)
+		ln.Addr(), srv.Budget().Cap(), *slots, srv.CacheStore())
 
 	httpSrv := &http.Server{Handler: srv.Handler()}
 
@@ -102,8 +96,8 @@ func run(args []string, stdout io.Writer) error {
 	if err := srv.Drain(drainCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "served: drain: %v\n", err)
 	}
-	// The drain finished every running job, so the shared store-backed
-	// cache (if any) can flush its index and close.
+	// The drain finished every running job, so the shared cache can flush
+	// its index and close.
 	if err := srv.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "served: close cache: %v\n", err)
 	}

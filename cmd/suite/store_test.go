@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"opaquebench/internal/compare"
+	"opaquebench/internal/store"
 	"opaquebench/internal/suite"
 )
 
 // TestRunWithCacheStoreWarmReplay: the -cache-store flag runs the suite
 // against an embedded store and a second run replays every campaign
-// byte-identically from it, exactly like the directory cache.
+// byte-identically from it.
 func TestRunWithCacheStoreWarmReplay(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeSpec(t, dir)
@@ -172,15 +173,18 @@ func TestRunPinAndTrendWorkflow(t *testing.T) {
 	}
 }
 
-// TestStoreImportMatchesDirCache: a directory-cache run imported with
-// store import -run replays and gates identically to the original.
+// TestStoreImportMatchesDirCache: a legacy cache directory — one
+// <key>.json file per entry, holding a run's payload bytes — imported with
+// store import -run replays identically to the run that produced it.
 func TestStoreImportMatchesDirCache(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeSpec(t, dir)
-	cacheDir := filepath.Join(dir, "cache")
-	if err := run([]string{"run", "-q", "-cache-dir", cacheDir, spec}, &strings.Builder{}); err != nil {
-		t.Fatalf("dir run: %v", err)
+	origPath := filepath.Join(dir, "orig.store")
+	if err := run([]string{"run", "-q", "-cache-store", origPath, spec}, &strings.Builder{}); err != nil {
+		t.Fatalf("cold run: %v", err)
 	}
+	cacheDir := filepath.Join(dir, "legacy")
+	writeLegacyDir(t, origPath, cacheDir)
 	storePath := filepath.Join(dir, "imported.store")
 	var out strings.Builder
 	if err := run([]string{"store", "import", "-run", "baseline", storePath, cacheDir}, &out); err != nil {
@@ -191,7 +195,7 @@ func TestStoreImportMatchesDirCache(t *testing.T) {
 	}
 
 	// A warm run against the imported store executes nothing and writes
-	// the same output bytes the directory-backed run wrote.
+	// the same output bytes the cold run wrote.
 	mem1, err := os.ReadFile(filepath.Join(dir, "mem.csv"))
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +212,7 @@ func TestStoreImportMatchesDirCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(mem1) != string(mem2) {
-		t.Error("imported store replay differs from directory-cache run")
+		t.Error("imported store replay differs from the cold run")
 	}
 
 	// chain on a static entry is a single-link chain, addressed by prefix.
@@ -225,6 +229,29 @@ func TestStoreImportMatchesDirCache(t *testing.T) {
 	}
 }
 
+// writeLegacyDir writes every entry of a store into dir in the legacy cache
+// directory layout: one <key>.json file holding the entry's payload bytes.
+func writeLegacyDir(t *testing.T, storePath, dir string) {
+	t.Helper()
+	st, err := store.Open(storePath, store.Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := os.MkdirAll(dir, 0o777); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range st.Keys() {
+		data, err := st.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, key+".json"), data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // cacheKeys lists a store's live keys via the suite cache API.
 func cacheKeys(storePath string) ([]string, error) {
 	cache, err := suite.ReadCacheStore(storePath)
@@ -232,7 +259,7 @@ func cacheKeys(storePath string) ([]string, error) {
 		return nil, err
 	}
 	defer cache.Close()
-	return cache.Keys()
+	return cache.Keys(), nil
 }
 
 func TestStoreUsageErrors(t *testing.T) {
@@ -248,9 +275,28 @@ func TestStoreUsageErrors(t *testing.T) {
 	}
 	dir := t.TempDir()
 	spec := writeSpec(t, dir)
-	if err := run([]string{"run", "-run", "r1", "-cache-dir", filepath.Join(dir, "c"), spec}, &out); err == nil ||
+	if err := run([]string{"run", "-run", "r1", "-cache-store", "", spec}, &out); err == nil ||
 		!strings.Contains(err.Error(), "-cache-store") {
 		t.Fatalf("-run without -cache-store accepted: %v", err)
+	}
+}
+
+// TestLegacyDirectoryNamesImport: every cache flag refuses a legacy cache
+// directory with an error that names the import command.
+func TestLegacyDirectoryNamesImport(t *testing.T) {
+	dir := t.TempDir()
+	spec := writeSpec(t, dir)
+	legacy := t.TempDir()
+	for _, args := range [][]string{
+		{"run", "-q", "-cache-store", legacy, spec},
+		{"run", "-dry-run", "-cache-store", legacy, spec},
+		{"run", "-q", "-cache-store", filepath.Join(dir, "c.store"), "-baseline", legacy, spec},
+		{"plan", "-cache-store", legacy, spec},
+	} {
+		err := run(args, &strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), "suite store import <store> "+legacy) {
+			t.Errorf("%v: err = %v, want one naming suite store import", args, err)
+		}
 	}
 }
 

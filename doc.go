@@ -45,13 +45,12 @@
 //     studies of campaigns across the registered engines from one JSON spec,
 //     concurrently under a global worker budget, with a content-addressed
 //     result cache whose replay is byte-identical to a cold run;
-//   - an embedded result store (internal/store) behind that cache: one
+//   - an embedded result store (internal/store) that is that cache: one
 //     append-only checksummed frame log plus an advisory sidecar index,
 //     recovering to the longest valid frame prefix after any crash, with
 //     pinned named runs, refcount garbage collection, atomic compaction,
-//     metadata queries and adaptive provenance chains — the suite cache
-//     runs directory- or store-backed with byte-identical replay either
-//     way;
+//     metadata queries, adaptive provenance chains and one writer process
+//     per store;
 //   - a campaign service (internal/serve, cmd/served) that keeps the
 //     orchestrator resident behind an HTTP/JSON API: spec-hash deduped
 //     job submission, prioritized FIFO scheduling over one shared worker
@@ -78,8 +77,8 @@
 // cmd/suite (whole cached studies of stage-2 campaigns, with adaptive
 // multi-round campaigns, a plan subcommand for their schedules, -baseline
 // as a regression gate against a prior run, and -cache-store/-run plus the
-// store subcommands for pinned run history in an embedded store),
-// cmd/compare (the standalone differential gate over two suite caches, with
+// store subcommands for pinned run history in the cache store),
+// cmd/compare (the standalone differential gate over two cache stores, with
 // -trend gating a store's run history on monotone median drift),
 // cmd/analyze (stage 3), and cmd/figures (end-to-end reproductions).
 //

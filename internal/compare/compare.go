@@ -112,27 +112,10 @@ func SampleFromRounds(keys []string, entries []*suite.Entry) (Sample, error) {
 	return out, nil
 }
 
-// LoadCacheDir reads every entry of a suite cache — a cache directory or,
-// when dir names a store file, an embedded result store — and groups the
-// samples by campaign name. More than one entry per name (a cache that
-// accumulated entries across edited runs) is preserved so the comparator
-// can refuse the ambiguity instead of silently picking one.
-func LoadCacheDir(dir string) (map[string][]Sample, error) {
-	cache, err := suite.ReadCache(dir)
-	if err != nil {
-		return nil, err
-	}
-	defer cache.Close()
-	return loadSamples(cache)
-}
-
-// loadSamples reads every entry of an open cache, whichever backend it is,
-// and groups the samples by campaign name.
+// loadSamples reads every entry of an open cache and groups the samples by
+// campaign name.
 func loadSamples(cache *suite.Cache) (map[string][]Sample, error) {
-	keys, err := cache.Keys()
-	if err != nil {
-		return nil, err
-	}
+	keys := cache.Keys()
 	loaded := make([]loadedEntry, 0, len(keys))
 	for _, key := range keys {
 		entry, err := cache.Load(key)
@@ -145,7 +128,7 @@ func loadSamples(cache *suite.Cache) (map[string][]Sample, error) {
 }
 
 // samplesFromEntries groups loaded cache entries into per-campaign samples
-// — the shared grouping behind the directory, store and per-run loaders.
+// — the shared grouping behind the whole-store and per-run loaders.
 func samplesFromEntries(loaded []loadedEntry) (map[string][]Sample, error) {
 	byCampaign := make(map[string][]loadedEntry, len(loaded))
 	var order []string
@@ -334,10 +317,10 @@ func comparePair(name string, base, cand []Sample, g Gate) CampaignVerdict {
 		v.Reason = "absent from the candidate run"
 		return v
 	case len(base) > 1:
-		v.Reason = fmt.Sprintf("%d baseline cache entries named %q — stale entries from edited runs; use a fresh cache directory", len(base), name)
+		v.Reason = fmt.Sprintf("%d baseline cache entries named %q — stale entries from edited runs; use a fresh cache store", len(base), name)
 		return v
 	case len(cand) > 1:
-		v.Reason = fmt.Sprintf("%d candidate cache entries named %q — stale entries from edited runs; use a fresh cache directory", len(cand), name)
+		v.Reason = fmt.Sprintf("%d candidate cache entries named %q — stale entries from edited runs; use a fresh cache store", len(cand), name)
 		return v
 	}
 	b, a := base[0], cand[0]

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand/v2"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -245,9 +246,21 @@ const baselineSpec = `{
 var slowdownSpec = strings.Replace(baselineSpec,
 	`"governor": "performance",`, `"governor": "performance", "duty": 0.6,`, 1)
 
-// runInto executes the spec cold into cacheDir with the given worker count
-// and returns the campaign samples loaded back from the cache.
-func runInto(t *testing.T, specJSON, cacheDir string, workers int) map[string][]Sample {
+// openCache opens a cache store at a fresh path, closed when the test ends.
+func openCache(t *testing.T) (*suite.Cache, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "cache.store")
+	cache, err := suite.OpenCacheStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cache.Close() })
+	return cache, path
+}
+
+// runInto executes the spec cold into a fresh cache store with the given
+// worker count and returns the campaign samples loaded back from it.
+func runInto(t *testing.T, specJSON string, workers int) map[string][]Sample {
 	t.Helper()
 	spec, err := suite.Parse([]byte(specJSON), "spec.json")
 	if err != nil {
@@ -256,14 +269,15 @@ func runInto(t *testing.T, specJSON, cacheDir string, workers int) map[string][]
 	for i := range spec.Campaigns {
 		spec.Campaigns[i].Workers = workers
 	}
+	cache, path := openCache(t)
 	if _, err := suite.Run(context.Background(), spec, suite.Options{
-		CacheDir: cacheDir, BaseDir: t.TempDir(), Workers: workers,
+		Cache: cache, BaseDir: t.TempDir(), Workers: workers,
 	}); err != nil {
 		t.Fatalf("suite run: %v", err)
 	}
-	samples, err := LoadCacheDir(cacheDir)
+	samples, err := LoadStore(path)
 	if err != nil {
-		t.Fatalf("LoadCacheDir: %v", err)
+		t.Fatalf("LoadStore: %v", err)
 	}
 	return samples
 }
@@ -274,7 +288,7 @@ func runInto(t *testing.T, specJSON, cacheDir string, workers int) map[string][]
 func TestSelfComparisonAllPassByteIdentical(t *testing.T) {
 	var verdictFiles [][]byte
 	for _, workers := range []int{1, 4, 8} {
-		samples := runInto(t, baselineSpec, t.TempDir(), workers)
+		samples := runInto(t, baselineSpec, workers)
 		c := Compare(samples, samples, Gate{})
 		if !c.Clean() || c.Pass != 3 || c.Regressed != 0 {
 			t.Fatalf("workers %d: self-comparison not all-pass: %s", workers, c.Summary())
@@ -311,8 +325,8 @@ func TestSelfComparisonAllPassByteIdentical(t *testing.T) {
 // regressed with a nonzero effect size, while the untouched campaigns
 // replay identically and pass.
 func TestInjectedSlowdownFlaggedRegressed(t *testing.T) {
-	baseline := runInto(t, baselineSpec, t.TempDir(), 4)
-	candidate := runInto(t, slowdownSpec, t.TempDir(), 4)
+	baseline := runInto(t, baselineSpec, 4)
+	candidate := runInto(t, slowdownSpec, 4)
 	c := Compare(baseline, candidate, Gate{})
 	if c.Regressed != 1 || c.Pass != 2 || c.Incomparable != 0 {
 		t.Fatalf("verdict totals: %s", c.Summary())
@@ -356,23 +370,19 @@ func TestInjectedSlowdownFlaggedRegressed(t *testing.T) {
 	}
 }
 
-func TestLoadCacheDirMissing(t *testing.T) {
-	if _, err := LoadCacheDir("/nonexistent/cache/dir"); err == nil {
-		t.Fatal("missing baseline directory accepted")
+func TestLoadStoreMissing(t *testing.T) {
+	if _, err := LoadStore(filepath.Join(t.TempDir(), "missing.store")); err == nil {
+		t.Fatal("missing baseline store accepted")
 	}
 }
 
 // TestAdaptiveRoundChainLoadsAsOneSample: an adaptive campaign is cached
-// one entry per round; LoadCacheDir must reassemble the chain into a
+// one entry per round; LoadStore must reassemble the chain into a
 // single sample (records concatenated in round order, keys joined) rather
 // than reporting an ambiguous cache — and a self-comparison of such a
 // cache must pass through the identical-records fast path.
 func TestAdaptiveRoundChainLoadsAsOneSample(t *testing.T) {
-	dir := t.TempDir()
-	cache, err := suite.OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache, path := openCache(t)
 	rounds := []struct {
 		key    string
 		round  int
@@ -394,9 +404,9 @@ func TestAdaptiveRoundChainLoadsAsOneSample(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	loaded, err := LoadCacheDir(dir)
+	loaded, err := LoadStore(path)
 	if err != nil {
-		t.Fatalf("LoadCacheDir: %v", err)
+		t.Fatalf("LoadStore: %v", err)
 	}
 	samples := loaded["zoom"]
 	if len(samples) != 1 {
@@ -471,9 +481,9 @@ func TestStaticSeedEntryUpgradesToRoundChain(t *testing.T) {
 		}
 		return spec
 	}
-	cacheDir := t.TempDir()
+	cache, path := openCache(t)
 	if _, err := suite.Run(context.Background(), mkSpec(t, ""), suite.Options{
-		CacheDir: cacheDir, BaseDir: t.TempDir(),
+		Cache: cache, BaseDir: t.TempDir(),
 	}); err != nil {
 		t.Fatalf("static run: %v", err)
 	}
@@ -481,7 +491,7 @@ func TestStaticSeedEntryUpgradesToRoundChain(t *testing.T) {
      "adaptive": {"rounds": 2, "budget": 150, "target_rel_ci": 0.02,
                   "top_points": 3, "extra_reps": 4, "zoom_per_break": 4, "min_seg": 10},`
 	res, err := suite.Run(context.Background(), mkSpec(t, adaptive), suite.Options{
-		CacheDir: cacheDir, BaseDir: t.TempDir(),
+		Cache: cache, BaseDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatalf("adaptive run: %v", err)
@@ -489,9 +499,9 @@ func TestStaticSeedEntryUpgradesToRoundChain(t *testing.T) {
 	if rounds := res.Campaigns[0].Rounds; len(rounds) != 2 || !rounds[0].Hit {
 		t.Fatalf("adaptive run: %d rounds, seed hit=%v", len(rounds), rounds[0].Hit)
 	}
-	loaded, err := LoadCacheDir(cacheDir)
+	loaded, err := LoadStore(path)
 	if err != nil {
-		t.Fatalf("LoadCacheDir: %v", err)
+		t.Fatalf("LoadStore: %v", err)
 	}
 	if n := len(loaded["mem-zoom"]); n != 1 {
 		t.Fatalf("cache loaded as %d samples, want 1 reassembled chain", n)

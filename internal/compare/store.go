@@ -6,11 +6,13 @@ import (
 	"opaquebench/internal/suite"
 )
 
-// LoadStore reads every live entry of an embedded result store
-// (internal/store) and groups the samples by campaign name — the store
-// counterpart of LoadCacheDir, sharing its round-chain reassembly and
-// ambiguity preservation. The store is opened read-only, so a comparison
-// never mutates the history it judges.
+// LoadStore reads every live entry of a suite result store (a cache store
+// file, internal/store) and groups the samples by campaign name. More than
+// one entry per name (a store that accumulated entries across edited runs)
+// is preserved so the comparator can refuse the ambiguity instead of
+// silently picking one; the rounds of an adaptive campaign are reassembled
+// into one sample. The store is opened read-only, so a comparison never
+// mutates the history it judges.
 func LoadStore(path string) (map[string][]Sample, error) {
 	cache, err := suite.ReadCacheStore(path)
 	if err != nil {

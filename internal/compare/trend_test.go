@@ -2,7 +2,6 @@ package compare
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -300,60 +299,6 @@ func storeEntry(t *testing.T, campaign, engine string, round int, values []float
 	entry := &suite.Entry{Campaign: campaign, Engine: engine, Round: round, Seed: 1}
 	entryFromResults(t, entry, res)
 	return entry
-}
-
-// TestLoadStoreMatchesCacheDir: the same entries loaded through a store
-// and a directory produce deeply equal sample maps, round-chain
-// reassembly included.
-func TestLoadStoreMatchesCacheDir(t *testing.T) {
-	dir := t.TempDir()
-	dirCache, err := suite.OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	storePath := t.TempDir() + "/results.store"
-	stCache, err := suite.OpenCacheStore(storePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := map[string]*suite.Entry{
-		"k-static": storeEntry(t, "flat", "cpubench", 0, []float64{5, 6, 7}),
-		"k-round1": storeEntry(t, "zoom", "membench", 1, []float64{10, 11, 12}),
-		"k-round2": storeEntry(t, "zoom", "membench", 2, []float64{20, 21}),
-	}
-	for key, e := range entries {
-		if err := dirCache.Store(key, e); err != nil {
-			t.Fatal(err)
-		}
-		if err := stCache.Store(key, e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := stCache.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fromDir, err := LoadCacheDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromStore, err := LoadStore(storePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromDir, fromStore) {
-		t.Fatalf("backends disagree:\ndir:   %+v\nstore: %+v", fromDir, fromStore)
-	}
-	if len(fromStore["zoom"]) != 1 || fromStore["zoom"][0].Key != "k-round1+k-round2" {
-		t.Fatalf("store load did not reassemble the round chain: %+v", fromStore["zoom"])
-	}
-	// LoadCacheDir auto-detects a store path, too.
-	auto, err := LoadCacheDir(storePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(auto, fromStore) {
-		t.Fatal("LoadCacheDir(store path) disagrees with LoadStore")
-	}
 }
 
 // TestLoadStoreRunsTrend is the end-to-end store path: three pinned runs

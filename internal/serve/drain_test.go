@@ -69,14 +69,24 @@ func TestDrainMidCampaign(t *testing.T) {
 		t.Fatalf("drained job finished %s: %s", st.State, st.Error)
 	}
 
-	// The cache the drained job wrote is whole: a fresh direct run over the
-	// same cache directory replays every campaign without executing a trial.
+	// The cache the drained job wrote is whole: once the server has
+	// closed its store, a fresh direct run over it replays every campaign
+	// without executing a trial. The store is opened read-only, so a miss
+	// fails the run loudly instead of quietly re-executing.
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	cache, err := suite.ReadCacheStore(srv.CacheStore())
+	if err != nil {
+		t.Fatalf("open the drained cache: %v", err)
+	}
+	defer cache.Close()
 	spec, err := suite.Parse([]byte(runningJSON), "spec.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := suite.Run(context.Background(), spec, suite.Options{
-		CacheDir: srv.CacheDir(), BaseDir: t.TempDir(),
+		Cache: cache, BaseDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatalf("warm replay over the drained cache: %v", err)

@@ -119,7 +119,6 @@ func (s *Server) runJob(j *Job, ctx context.Context) {
 		if err = os.MkdirAll(j.dir, 0o777); err == nil {
 			res, err = suite.Run(ctx, j.spec, suite.Options{
 				Cache:      cache,
-				CacheDir:   s.cacheDir,
 				BaseDir:    j.dir,
 				Budget:     s.budget,
 				Progress:   pump.progress,

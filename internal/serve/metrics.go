@@ -11,20 +11,20 @@ import (
 // Healthz is the GET /healthz reply: a liveness probe with just enough
 // shape for an operator to tell a healthy daemon from a draining one.
 type Healthz struct {
-	Status   string `json:"status"` // "ok" or "draining"
-	Workers  int    `json:"workers"`
-	Slots    int    `json:"slots"`
-	Engines  int    `json:"engines"`
-	CacheDir string `json:"cache_dir"`
+	Status  string `json:"status"` // "ok" or "draining"
+	Workers int    `json:"workers"`
+	Slots   int    `json:"slots"`
+	Engines int    `json:"engines"`
+	Cache   string `json:"cache"` // the shared cache's store file
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := Healthz{
-		Status:   "ok",
-		Workers:  s.budget.Cap(),
-		Slots:    s.slots,
-		Engines:  len(engine.Names()),
-		CacheDir: s.cacheDir,
+		Status:  "ok",
+		Workers: s.budget.Cap(),
+		Slots:   s.slots,
+		Engines: len(engine.Names()),
+		Cache:   s.cacheStore,
 	}
 	if s.Draining() {
 		h.Status = "draining"

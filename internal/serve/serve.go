@@ -28,9 +28,8 @@
 //     its own view coarser, never the campaign slower.
 //
 // Shutdown is graceful: Drain rejects new submissions with 503, cancels
-// queued jobs, and waits for running suites to finish, so the atomic
-// (temp+rename) cache protocol is never interrupted mid-entry. cmd/served
-// is the command-line face.
+// queued jobs, and waits for running suites to finish, so no cache entry is
+// interrupted mid-append. cmd/served is the command-line face.
 package serve
 
 import (
@@ -54,16 +53,11 @@ type Config struct {
 	// queued jobs wait for a slot. < 1 means 2.
 	Slots int
 	// DataDir holds per-job outputs (DataDir/jobs/<id>/) and, unless
-	// CacheDir overrides it, the shared result cache (DataDir/cache).
+	// CacheStore overrides it, the shared result cache
+	// (DataDir/cache.store).
 	DataDir string
-	// CacheDir overrides the shared content-addressed cache directory.
-	CacheDir string
-	// CacheStore, when non-empty, backs the shared cache with a
-	// single-file embedded store (internal/store) at this path instead of
-	// a directory. Every job shares one open store, so the daemon gains
-	// the store's queryable history — pinned runs, provenance chains,
-	// GC — without changing a byte of any result. Takes precedence over
-	// CacheDir.
+	// CacheStore overrides the path of the shared cache's store file
+	// (internal/store). Every job shares the one open store.
 	CacheStore string
 	// Now is the server clock; nil means time.Now. Tests inject a fixed
 	// clock to make /healthz and /metrics output reproducible.
@@ -77,15 +71,14 @@ type Config struct {
 // goroutines of its own — jobs run on goroutines started at dispatch and
 // accounted for by Drain.
 type Server struct {
-	dataDir  string
-	cacheDir string
-	slots    int
-	budget   *suite.Budget
-	now      func() time.Time
-	start    time.Time
-	log      io.Writer
+	dataDir string
+	slots   int
+	budget  *suite.Budget
+	now     func() time.Time
+	start   time.Time
+	log     io.Writer
 
-	// Store-backed cache, opened lazily on the first job (New must not
+	// The shared cache, opened lazily on the first job (New must not
 	// create anything on disk) and shared by every job thereafter.
 	cacheStore string
 	cacheOnce  sync.Once
@@ -120,14 +113,13 @@ func New(cfg Config) *Server {
 	if now == nil {
 		now = time.Now
 	}
-	cacheDir := cfg.CacheDir
-	if cacheDir == "" {
-		cacheDir = filepath.Join(cfg.DataDir, "cache")
+	cacheStore := cfg.CacheStore
+	if cacheStore == "" {
+		cacheStore = filepath.Join(cfg.DataDir, "cache.store")
 	}
 	s := &Server{
 		dataDir:    cfg.DataDir,
-		cacheDir:   cacheDir,
-		cacheStore: cfg.CacheStore,
+		cacheStore: cacheStore,
 		slots:      slots,
 		budget:     suite.NewBudget(cfg.Workers),
 		now:        now,
@@ -139,15 +131,11 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// jobCache resolves the cache jobs run against: the shared store-backed
-// cache when CacheStore is configured (opened on first use), nil otherwise
-// (jobs fall back to the cache directory). The first open failure latches:
-// a daemon whose store cannot open fails every job loudly rather than
-// silently re-running cold against nothing.
+// jobCache resolves the shared cache jobs run against, opening its store
+// on first use. The first open failure latches: a daemon whose store
+// cannot open fails every job loudly rather than silently re-running cold
+// against nothing.
 func (s *Server) jobCache() (*suite.Cache, error) {
-	if s.cacheStore == "" {
-		return nil, nil
-	}
 	s.cacheOnce.Do(func() {
 		if dir := filepath.Dir(s.cacheStore); dir != "" {
 			if err := os.MkdirAll(dir, 0o777); err != nil {
@@ -163,9 +151,8 @@ func (s *Server) jobCache() (*suite.Cache, error) {
 	return s.cache, s.cacheErr
 }
 
-// Close releases the shared store-backed cache, flushing its sidecar
-// index. Call it after Drain; a Server with no store-backed cache (or one
-// that never ran a job) closes trivially.
+// Close releases the shared cache, flushing its store's sidecar index.
+// Call it after Drain; a Server that never ran a job closes trivially.
 func (s *Server) Close() error {
 	if s.cache != nil {
 		return s.cache.Close()
@@ -178,8 +165,8 @@ func (s *Server) Close() error {
 // invariant.
 func (s *Server) Budget() *suite.Budget { return s.budget }
 
-// CacheDir is the shared content-addressed cache directory.
-func (s *Server) CacheDir() string { return s.cacheDir }
+// CacheStore is the path of the shared cache's store file.
+func (s *Server) CacheStore() string { return s.cacheStore }
 
 // logf writes one server log line.
 func (s *Server) logf(format string, args ...any) {

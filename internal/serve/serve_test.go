@@ -155,7 +155,7 @@ func TestSubmitPollFetchMatchesDirectRun(t *testing.T) {
 	}
 	refDir := t.TempDir()
 	if _, err := suite.Run(context.Background(), spec, suite.Options{
-		CacheDir: filepath.Join(refDir, "cache"), BaseDir: refDir,
+		BaseDir: refDir,
 	}); err != nil {
 		t.Fatalf("direct reference run: %v", err)
 	}
@@ -647,19 +647,27 @@ func TestEnginesEndpoint(t *testing.T) {
 	}
 }
 
-// TestStoreBackedCacheServesIdenticalBytes: a daemon on the embedded-store
-// cache serves byte-identical results to one on the directory cache, a
-// renamed resubmission replays entirely from the shared store (zero
-// trials), and the store passes its own integrity check after Close.
+// TestStoreBackedCacheServesIdenticalBytes: a daemon on an explicit cache
+// store path serves byte-identical results to one on the default store
+// under its data directory, a renamed resubmission replays entirely from
+// the shared store (zero trials), and the store passes its own integrity
+// check after Close.
 func TestStoreBackedCacheServesIdenticalBytes(t *testing.T) {
-	// Reference: a directory-cache server.
-	_, dirTS := newTestServer(t, Config{Workers: 2})
-	ref, code := submit(t, dirTS, serveSpecJSON, "")
-	if code != http.StatusAccepted {
-		t.Fatalf("dir submit: status %d", code)
+	// Reference: a server on the default store, DataDir/cache.store.
+	dataDir := t.TempDir()
+	refSrv, refTS := newTestServer(t, Config{Workers: 2, DataDir: dataDir})
+	if want := filepath.Join(dataDir, "cache.store"); refSrv.CacheStore() != want {
+		t.Errorf("default cache store %s, want %s", refSrv.CacheStore(), want)
 	}
-	if st := waitTerminal(t, dirTS, ref.Job); st.State != string(JobDone) {
-		t.Fatalf("dir job finished %s: %s", st.State, st.Error)
+	ref, code := submit(t, refTS, serveSpecJSON, "")
+	if code != http.StatusAccepted {
+		t.Fatalf("reference submit: status %d", code)
+	}
+	if st := waitTerminal(t, refTS, ref.Job); st.State != string(JobDone) {
+		t.Fatalf("reference job finished %s: %s", st.State, st.Error)
+	}
+	if _, err := os.Stat(refSrv.CacheStore()); err != nil {
+		t.Errorf("default cache store not created: %v", err)
 	}
 
 	storePath := filepath.Join(t.TempDir(), "cache.store")
@@ -679,10 +687,10 @@ func TestStoreBackedCacheServesIdenticalBytes(t *testing.T) {
 	}
 	for _, name := range []string{"mem", "net", "cpu"} {
 		for _, format := range []string{"csv", "jsonl"} {
-			want := fetchResult(t, dirTS, ref.Job, name, format)
+			want := fetchResult(t, refTS, ref.Job, name, format)
 			got := fetchResult(t, ts, first.Job, name, format)
 			if !bytes.Equal(want, got) {
-				t.Errorf("campaign %s %s differs between cache backends (%d vs %d bytes)",
+				t.Errorf("campaign %s %s differs between the two servers (%d vs %d bytes)",
 					name, format, len(want), len(got))
 			}
 		}

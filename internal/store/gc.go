@@ -165,12 +165,11 @@ var compactRename = os.Rename
 
 // Compact rewrites the live state into a fresh log — live entry frames in
 // their original append order, then one pin frame per run — and atomically
-// replaces the old log (write-temp + rename, the same discipline as the
-// cache directory's entry stores). Tombstoned and superseded frames are
-// dropped; payload bytes, metadata (StoredAt included) and entry order are
-// preserved exactly, so every query answers identically before and after.
-// If compaction is interrupted anywhere before the rename, the old log is
-// untouched and fully readable.
+// replaces the old log (write-temp + rename). Tombstoned and superseded
+// frames are dropped; payload bytes, metadata (StoredAt included) and entry
+// order are preserved exactly, so every query answers identically before
+// and after. If compaction is interrupted anywhere before the rename, the
+// old log is untouched and fully readable.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -222,24 +221,19 @@ func (s *Store) Compact() error {
 	if err := tmp.Sync(); err != nil {
 		return fail(err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: compact: %w", err)
+	// The new log is locked before the rename gives it the store's path,
+	// so no other writer can open it in between.
+	if err := lockLog(tmp, s.path); err != nil {
+		return fail(err)
 	}
 	if err := compactRename(tmpName, s.path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: compact: %w", err)
+		return fail(err)
 	}
 
-	// The rename happened: the new log is the store. Reopen the handle and
-	// swap the in-memory state to the new offsets.
-	f, err := os.OpenFile(s.path, os.O_RDWR, 0o666)
-	if err != nil {
-		s.broken = err
-		return fmt.Errorf("store: compact: reopen: %w", err)
-	}
+	// The rename happened: the new log is the store. Its handle replaces
+	// the old one, and the in-memory state moves to the new offsets.
 	s.f.Close()
-	s.f = f
+	s.f = tmp
 	s.size = int64(len(out))
 	s.entries = newRefs
 	s.writeIndex()

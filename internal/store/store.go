@@ -9,10 +9,10 @@
 // On top of the log the store keeps the state a fleet of benchmark
 // campaigns needs from its history:
 //
-//   - entries: opaque payloads addressed by key (last append wins, like a
-//     content-addressed cache directory), each carrying queryable metadata —
-//     suite, campaign, engine, adaptive round, seed, environment
-//     descriptors, time of run — and a provenance link to the parent round;
+//   - entries: opaque payloads addressed by key (last append wins), each
+//     carrying queryable metadata — suite, campaign, engine, adaptive
+//     round, seed, environment descriptors, time of run — and a provenance
+//     link to the parent round;
 //   - pins: named runs holding sets of keys alive; a key's refcount is the
 //     number of runs pinning it;
 //   - garbage collection: Unpin plus GC reclaims every entry that no run
@@ -20,7 +20,9 @@
 //     the bytes are dropped at the next Compact);
 //   - compaction: live frames are rewritten into a fresh log atomically
 //     (write-temp + rename), so an interrupted compaction leaves the old
-//     log fully readable.
+//     log fully readable;
+//   - one writer: a read-write open locks the log, so a second writer
+//     process fails at Open instead of corrupting the first one's frames.
 //
 // The sidecar index (path + ".idx") is advisory: it memoizes the scan so
 // reopening a large store is cheap, and it is rebuilt from the log whenever
@@ -111,7 +113,9 @@ type Store struct {
 // a torn tail — a crashed writer's partial frame — is recovered to its
 // longest valid frame prefix: read-write opens truncate the tail away,
 // read-only opens ignore it. The sidecar index is consulted first and
-// rebuilt from the log when missing or stale.
+// rebuilt from the log when missing or stale. A read-write open takes an
+// exclusive lock on the log until Close, so a store has one writer at a
+// time and a second read-write Open fails; read-only opens take no lock.
 func Open(path string, opts Options) (*Store, error) {
 	now := opts.Now
 	if now == nil {
@@ -131,6 +135,12 @@ func Open(path string, opts Options) (*Store, error) {
 	f, err := os.OpenFile(path, flag, 0o666)
 	if err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
+	}
+	if !opts.ReadOnly {
+		if err := lockLog(f, path); err != nil {
+			f.Close()
+			return nil, err
+		}
 	}
 	s.f = f
 	if err := s.recover(); err != nil {
@@ -370,9 +380,8 @@ func (s *Store) append(frame []byte) (int64, error) {
 }
 
 // Put appends one entry under key, replacing any live entry with the same
-// key (last append wins, the same overwrite semantics as a cache
-// directory). The meta's Key, StoredAt and Size fields are stamped by the
-// store; everything else is the caller's.
+// key (last append wins). The meta's Key, StoredAt and Size fields are
+// stamped by the store; everything else is the caller's.
 func (s *Store) Put(key string, payload []byte, m Meta) error {
 	if key == "" {
 		return errors.New("store: empty key")

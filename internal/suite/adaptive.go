@@ -215,11 +215,6 @@ func PlanSchedule(ctx context.Context, spec *Spec, opts Options) ([]CampaignSche
 		return nil, err
 	}
 	cache := opts.Cache
-	if cache == nil && opts.CacheDir != "" {
-		if cache, err = OpenCache(opts.CacheDir); err != nil {
-			return nil, err
-		}
-	}
 	budget := opts.Workers
 	if budget < 1 {
 		budget = spec.Workers

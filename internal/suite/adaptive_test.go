@@ -58,11 +58,11 @@ func parseAdaptiveSpec(t *testing.T) *Spec {
 // the suite cache at workers 1, 4 and 8 — every sink file byte-identical,
 // every round a cache hit, zero trials executed warm.
 func TestAdaptiveReplayByteIdentical(t *testing.T) {
-	cacheDir := t.TempDir()
+	cache, _ := openTestStoreCache(t)
 	refDir := t.TempDir()
 	spec := parseAdaptiveSpec(t)
 	cold, err := Run(context.Background(), spec, Options{
-		CacheDir: cacheDir, BaseDir: refDir, Workers: 1,
+		Cache: cache, BaseDir: refDir, Workers: 1,
 	})
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
@@ -78,7 +78,7 @@ func TestAdaptiveReplayByteIdentical(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		warmDir := t.TempDir()
 		warm, err := Run(context.Background(), parseAdaptiveSpec(t), Options{
-			CacheDir: cacheDir, BaseDir: warmDir, Workers: workers,
+			Cache: cache, BaseDir: warmDir, Workers: workers,
 		})
 		if err != nil {
 			t.Fatalf("warm run (workers %d): %v", workers, err)
@@ -109,8 +109,8 @@ func TestAdaptiveReplayByteIdentical(t *testing.T) {
 // refined grid is strictly inside the coarse one. A second PlanSchedule
 // over the same cache replays with every round a hit.
 func TestAdaptiveScheduleConverges(t *testing.T) {
-	cacheDir := t.TempDir()
-	scheds, err := PlanSchedule(context.Background(), parseAdaptiveSpec(t), Options{CacheDir: cacheDir})
+	cache, _ := openTestStoreCache(t)
+	scheds, err := PlanSchedule(context.Background(), parseAdaptiveSpec(t), Options{Cache: cache})
 	if err != nil {
 		t.Fatalf("PlanSchedule: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestAdaptiveScheduleConverges(t *testing.T) {
 		}
 	}
 
-	warm, err := PlanSchedule(context.Background(), parseAdaptiveSpec(t), Options{CacheDir: cacheDir})
+	warm, err := PlanSchedule(context.Background(), parseAdaptiveSpec(t), Options{Cache: cache})
 	if err != nil {
 		t.Fatalf("warm PlanSchedule: %v", err)
 	}
@@ -209,9 +209,10 @@ func TestAdaptiveSpecValidation(t *testing.T) {
 // TestAdaptiveDryRunTouchesNothing: -dry-run on an adaptive suite reports
 // the seed round's verdict and creates no output files.
 func TestAdaptiveDryRunTouchesNothing(t *testing.T) {
+	cache, _ := openTestStoreCache(t)
 	baseDir := t.TempDir()
 	res, err := Run(context.Background(), parseAdaptiveSpec(t), Options{
-		CacheDir: filepath.Join(baseDir, "cache"), BaseDir: baseDir, DryRun: true,
+		Cache: cache, BaseDir: baseDir, DryRun: true,
 	})
 	if err != nil {
 		t.Fatalf("dry run: %v", err)

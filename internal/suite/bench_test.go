@@ -2,7 +2,6 @@ package suite
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
 )
 
@@ -15,9 +14,9 @@ func BenchmarkSuiteWarmReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cacheDir := b.TempDir()
+	cache, _ := openTestStoreCache(b)
 	if _, err := Run(context.Background(), spec, Options{
-		CacheDir: cacheDir, BaseDir: b.TempDir(), Workers: 4,
+		Cache: cache, BaseDir: b.TempDir(), Workers: 4,
 	}); err != nil {
 		b.Fatalf("cold run: %v", err)
 	}
@@ -25,7 +24,7 @@ func BenchmarkSuiteWarmReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := Run(context.Background(), spec, Options{
-			CacheDir: cacheDir, BaseDir: b.TempDir(), Workers: 4,
+			Cache: cache, BaseDir: b.TempDir(), Workers: 4,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -58,11 +57,7 @@ func BenchmarkSuiteStaticHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cache, err := OpenCacheStore(filepath.Join(b.TempDir(), "cache.store"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cache.Close()
+	cache, _ := openTestStoreCache(b)
 	outDir := b.TempDir()
 	if _, err := Run(context.Background(), spec, Options{Cache: cache, BaseDir: outDir}); err != nil {
 		b.Fatalf("cold run: %v", err)

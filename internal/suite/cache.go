@@ -9,11 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime/debug"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"opaquebench/internal/core"
@@ -298,100 +295,28 @@ func decodeEntry(data []byte) (*Entry, error) {
 	return r.entry()
 }
 
-// Cache is a content-addressed cache of entries keyed by campaign key. It
-// has two interchangeable backends with identical semantics — atomic
-// last-write-wins stores of the same format-2 payload bytes, sorted Keys —
-// so everything above it (suite runs, the serve daemon, the comparator) is
-// backend-agnostic:
-//
-//   - a directory of <key>.json files (one file per entry, temp+rename
-//     atomicity), the original layout;
-//   - a single-file embedded store (internal/store: append-only
-//     checksummed log + sidecar index), which adds queryable metadata,
-//     pinned runs and GC on top of the same entry bytes.
+// Cache is the content-addressed cache of entries keyed by campaign key: a
+// single-file embedded store (internal/store, an append-only checksummed log
+// plus a sidecar index) holding each entry's format-2 payload bytes beside
+// queryable metadata, pinned runs and round provenance. Stores are atomic
+// (one checksummed frame per entry) and last-write-wins; Keys are sorted. A
+// read-write store has one writer process at a time.
 type Cache struct {
-	dir string       // directory backend; "" when store-backed
-	st  *store.Store // store backend; nil when directory-backed
+	st *store.Store
 }
 
-// OpenCache opens (creating if needed) a cache directory.
-func OpenCache(dir string) (*Cache, error) {
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		return nil, fmt.Errorf("suite: open cache: %w", err)
-	}
-	return &Cache{dir: dir}, nil
-}
+// Close closes the underlying store, flushing its index.
+func (c *Cache) Close() error { return c.st.Close() }
 
-// ReadCache opens an existing cache for reading without creating or
-// modifying anything — the form consumers like the differential comparator
-// use on baselines they must not touch. The backend is auto-detected: a
-// directory is the classic per-entry layout, a file is an embedded store
-// log (opened read-only). A missing path is an error, not an empty cache: a
-// comparison against a mistyped path should fail loudly.
-func ReadCache(path string) (*Cache, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, fmt.Errorf("suite: read cache: %w", err)
-	}
-	if !fi.IsDir() {
-		return ReadCacheStore(path)
-	}
-	return &Cache{dir: path}, nil
-}
-
-// Close releases the backend. Directory caches hold no resources; closing
-// a store-backed cache closes the underlying store (flushing its index).
-func (c *Cache) Close() error {
-	if c.st != nil {
-		return c.st.Close()
-	}
-	return nil
-}
-
-// Keys lists the key of every entry in the cache, sorted. In-flight
-// temporary files from concurrent Stores are skipped.
-func (c *Cache) Keys() ([]string, error) {
-	if c.st != nil {
-		return c.st.Keys(), nil
-	}
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return nil, fmt.Errorf("suite: list cache: %w", err)
-	}
-	var keys []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.Contains(name, ".tmp") {
-			continue
-		}
-		keys = append(keys, strings.TrimSuffix(name, ".json"))
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
-}
+// Keys lists the key of every entry in the cache, sorted.
+func (c *Cache) Keys() []string { return c.st.Keys() }
 
 // Lookup reports whether an entry exists for key.
-func (c *Cache) Lookup(key string) bool {
-	if c.st != nil {
-		return c.st.Has(key)
-	}
-	_, err := os.Stat(c.path(key))
-	return err == nil
-}
+func (c *Cache) Lookup(key string) bool { return c.st.Has(key) }
 
 // get reads the payload stored under key.
 func (c *Cache) get(key string) ([]byte, error) {
-	var data []byte
-	var err error
-	if c.st != nil {
-		data, err = c.st.Get(key)
-	} else {
-		data, err = os.ReadFile(c.path(key))
-	}
+	data, err := c.st.Get(key)
 	if err != nil {
 		return nil, fmt.Errorf("suite: cache load: %w", err)
 	}
@@ -427,11 +352,11 @@ func (c *Cache) loadRaw(key string) (*rawEntry, error) {
 }
 
 // Store writes the entry for key atomically, replacing any previous entry
-// (last write wins on both backends). It exists for tests and tools that
-// build entries from records: suite runs write the bytes their cold runs
-// streamed instead, through storeRaw. The records are encoded once, into
-// the format-2 sections; they must therefore suit the CSV sink (one factor
-// and extra key set), as every engine's records do.
+// (last write wins). It exists for tests and tools that build entries from
+// records: suite runs write the bytes their cold runs streamed instead,
+// through storeRaw. The records are encoded once, into the format-2
+// sections; they must therefore suit the CSV sink (one factor and extra key
+// set), as every engine's records do.
 func (c *Cache) Store(key string, e *Entry) error {
 	r, err := newRawEntry(e)
 	if err != nil {
@@ -440,43 +365,16 @@ func (c *Cache) Store(key string, e *Entry) error {
 	return c.storeRaw(key, r)
 }
 
-// storeRaw writes a format-2 entry for key. The directory backend writes a
-// temp file and renames it, so a crashed or concurrent writer can never
-// leave a torn entry behind; the store backend appends one checksummed
-// frame, whose recovery rule gives the same guarantee.
+// storeRaw writes a format-2 entry for key as one checksummed store frame,
+// whose recovery rule means a crashed writer never leaves a torn entry
+// behind.
 func (c *Cache) storeRaw(key string, r *rawEntry) error {
 	data, err := r.encode()
 	if err != nil {
 		return fmt.Errorf("suite: cache encode: %w", err)
 	}
-	if c.st != nil {
-		if err := c.st.Put(key, data, r.meta()); err != nil {
-			return fmt.Errorf("suite: cache store: %w", err)
-		}
-		return nil
-	}
-	tmp, err := os.CreateTemp(c.dir, key+".tmp*")
-	if err != nil {
+	if err := c.st.Put(key, data, r.meta()); err != nil {
 		return fmt.Errorf("suite: cache store: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("suite: cache store: %w", errorsFirst(werr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("suite: cache store: %w", err)
-	}
-	return nil
-}
-
-func errorsFirst(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -128,63 +128,39 @@ func TestJSONLSectionMatchesLegacyEncoding(t *testing.T) {
 	}
 }
 
-// cacheBackend is one fresh cache per backend, with a way to plant an
-// arbitrary payload under a key.
-type cacheBackend struct {
-	name string
-	c    *Cache
-}
-
-func testBackends(t *testing.T) []cacheBackend {
+// plant stores payload under key, bypassing the entry encoder.
+func plant(t *testing.T, c *Cache, key string, payload []byte) {
 	t.Helper()
-	dir, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, _ := openTestStoreCache(t)
-	return []cacheBackend{{"dir", dir}, {"store", st}}
-}
-
-// put plants payload under key, bypassing the entry encoder.
-func (b cacheBackend) put(t *testing.T, key string, payload []byte) {
-	t.Helper()
-	var err error
-	if b.c.st != nil {
-		err = b.c.st.Put(key, payload, store.Meta{})
-	} else {
-		err = os.WriteFile(b.c.path(key), payload, 0o666)
-	}
-	if err != nil {
-		t.Fatalf("%s: plant %s: %v", b.name, key, err)
+	if err := c.st.Put(key, payload, store.Meta{}); err != nil {
+		t.Fatalf("plant %s: %v", key, err)
 	}
 }
 
 // TestFormat2LoadMatchesLegacyLoad: Load of a format-2 entry equals Load of
-// the legacy JSON encoding of the same entry, on both backends.
+// the legacy JSON encoding of the same entry.
 func TestFormat2LoadMatchesLegacyLoad(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
-	for _, b := range testBackends(t) {
-		for c := 0; c < 60; c++ {
-			e := awkwardEntry(r, r.Intn(10))
-			legacy, err := json.Marshal(e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.put(t, "legacy", legacy)
-			if err := b.c.Store("v2", e); err != nil {
-				t.Fatalf("%s case %d: Store: %v", b.name, c, err)
-			}
-			want, err := b.c.Load("legacy")
-			if err != nil {
-				t.Fatalf("%s case %d: load legacy: %v", b.name, c, err)
-			}
-			got, err := b.c.Load("v2")
-			if err != nil {
-				t.Fatalf("%s case %d: load format 2: %v", b.name, c, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s case %d: format-2 load differs from legacy load:\n got %+v\nwant %+v", b.name, c, got, want)
-			}
+	c, _ := openTestStoreCache(t)
+	for n := 0; n < 60; n++ {
+		e := awkwardEntry(r, r.Intn(10))
+		legacy, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plant(t, c, "legacy", legacy)
+		if err := c.Store("v2", e); err != nil {
+			t.Fatalf("case %d: Store: %v", n, err)
+		}
+		want, err := c.Load("legacy")
+		if err != nil {
+			t.Fatalf("case %d: load legacy: %v", n, err)
+		}
+		got, err := c.Load("v2")
+		if err != nil {
+			t.Fatalf("case %d: load format 2: %v", n, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: format-2 load differs from legacy load:\n got %+v\nwant %+v", n, got, want)
 		}
 	}
 }
@@ -261,48 +237,47 @@ func TestUnusableEntryFallsBackToColdRun(t *testing.T) {
 		}},
 	}
 	for _, corr := range corruptions {
-		for _, b := range testBackends(t) {
-			label := b.name + "/" + corr.name
-			if _, err := Run(context.Background(), spec, Options{Cache: b.c, BaseDir: t.TempDir()}); err != nil {
-				t.Fatalf("%s: cold run: %v", label, err)
-			}
-			payload, err := b.c.get(key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.put(t, key, corr.edit(t, b.c, payload))
-			if _, err := b.c.loadRaw(key); err == nil {
-				t.Fatalf("%s: corrupted entry still loads as format 2", label)
-			}
+		label := corr.name
+		c, _ := openTestStoreCache(t)
+		if _, err := Run(context.Background(), spec, Options{Cache: c, BaseDir: t.TempDir()}); err != nil {
+			t.Fatalf("%s: cold run: %v", label, err)
+		}
+		payload, err := c.get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plant(t, c, key, corr.edit(t, c, payload))
+		if _, err := c.loadRaw(key); err == nil {
+			t.Fatalf("%s: corrupted entry still loads as format 2", label)
+		}
 
-			outDir := t.TempDir()
-			res, err := Run(context.Background(), spec, Options{Cache: b.c, BaseDir: outDir})
-			if err != nil {
-				t.Fatalf("%s: run over unusable entry: %v", label, err)
+		outDir := t.TempDir()
+		res, err := Run(context.Background(), spec, Options{Cache: c, BaseDir: outDir})
+		if err != nil {
+			t.Fatalf("%s: run over unusable entry: %v", label, err)
+		}
+		if cr := res.Campaigns[0]; cr.Hit || cr.Trials == 0 {
+			t.Errorf("%s: unusable entry: verdict %s, %d trials", label, cr.Verdict(), cr.Trials)
+		}
+		for _, cr := range res.Campaigns[1:] {
+			if !cr.Hit {
+				t.Errorf("%s: intact %s did not replay", label, cr.Name)
 			}
-			if cr := res.Campaigns[0]; cr.Hit || cr.Trials == 0 {
-				t.Errorf("%s: unusable entry: verdict %s, %d trials", label, cr.Verdict(), cr.Trials)
-			}
-			for _, cr := range res.Campaigns[1:] {
-				if !cr.Hit {
-					t.Errorf("%s: intact %s did not replay", label, cr.Name)
-				}
-			}
-			compareSinks(t, spec, refDir, outDir, label)
+		}
+		compareSinks(t, spec, refDir, outDir, label)
 
-			// The cold rerun rewrote the entry in format 2, with the same
-			// sections (only the environment's capture time differs).
-			repaired, err := b.c.loadRaw(key)
-			if err != nil {
-				t.Fatalf("%s: entry not rewritten in format 2: %v", label, err)
-			}
-			orig, err := parseRawEntry(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(repaired.csv, orig.csv) || !bytes.Equal(repaired.jsonl, orig.jsonl) || repaired.Records != orig.Records {
-				t.Errorf("%s: rewritten entry's sections differ from the original's", label)
-			}
+		// The cold rerun rewrote the entry in format 2, with the same
+		// sections (only the environment's capture time differs).
+		repaired, err := c.loadRaw(key)
+		if err != nil {
+			t.Fatalf("%s: entry not rewritten in format 2: %v", label, err)
+		}
+		orig, err := parseRawEntry(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(repaired.csv, orig.csv) || !bytes.Equal(repaired.jsonl, orig.jsonl) || repaired.Records != orig.Records {
+			t.Errorf("%s: rewritten entry's sections differ from the original's", label)
 		}
 	}
 }
@@ -337,25 +312,24 @@ func TestStaticHitOnAdaptiveRoundEntry(t *testing.T) {
 	}
 	serialReference(t, static, refDir)
 
-	for _, b := range testBackends(t) {
-		adaptive, err := Run(context.Background(), parseAdaptiveSpec(t), Options{Cache: b.c, BaseDir: t.TempDir()})
-		if err != nil {
-			t.Fatalf("%s: adaptive cold run: %v", b.name, err)
-		}
-		outDir := t.TempDir()
-		res, err := Run(context.Background(), static, Options{Cache: b.c, BaseDir: outDir})
-		if err != nil {
-			t.Fatalf("%s: static run: %v", b.name, err)
-		}
-		cr := res.Campaigns[0]
-		if cr.Key != adaptive.Campaigns[0].Rounds[0].Key {
-			t.Fatalf("%s: static key %s, adaptive seed round key %s", b.name, cr.Key, adaptive.Campaigns[0].Rounds[0].Key)
-		}
-		if !cr.Hit || cr.Trials != 0 {
-			t.Errorf("%s: static campaign: verdict %s, %d trials", b.name, cr.Verdict(), cr.Trials)
-		}
-		compareSinks(t, static, refDir, outDir, b.name+" static hit on adaptive round")
+	c, _ := openTestStoreCache(t)
+	adaptive, err := Run(context.Background(), parseAdaptiveSpec(t), Options{Cache: c, BaseDir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("adaptive cold run: %v", err)
 	}
+	outDir := t.TempDir()
+	res, err := Run(context.Background(), static, Options{Cache: c, BaseDir: outDir})
+	if err != nil {
+		t.Fatalf("static run: %v", err)
+	}
+	cr := res.Campaigns[0]
+	if cr.Key != adaptive.Campaigns[0].Rounds[0].Key {
+		t.Fatalf("static key %s, adaptive seed round key %s", cr.Key, adaptive.Campaigns[0].Rounds[0].Key)
+	}
+	if !cr.Hit || cr.Trials != 0 {
+		t.Errorf("static campaign: verdict %s, %d trials", cr.Verdict(), cr.Trials)
+	}
+	compareSinks(t, static, refDir, outDir, "static hit on adaptive round")
 }
 
 // TestStaticHitAllocationsIndependentOfSize: a static store-backed hit is a
@@ -401,32 +375,31 @@ func TestStaticHitAllocationsIndependentOfSize(t *testing.T) {
 func TestAdaptiveRoundRefreshesStaticEntry(t *testing.T) {
 	static := parseAdaptiveSpec(t)
 	static.Campaigns[0].Adaptive = nil
-	for _, b := range testBackends(t) {
-		res, err := Run(context.Background(), static, Options{Cache: b.c, BaseDir: t.TempDir()})
-		if err != nil {
-			t.Fatalf("%s: static run: %v", b.name, err)
-		}
-		key := res.Campaigns[0].Key
-		before, err := b.c.loadRaw(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		adaptive, err := Run(context.Background(), parseAdaptiveSpec(t), Options{Cache: b.c, BaseDir: t.TempDir()})
-		if err != nil {
-			t.Fatalf("%s: adaptive run: %v", b.name, err)
-		}
-		if r1 := adaptive.Campaigns[0].Rounds[0]; !r1.Hit || r1.Key != key {
-			t.Fatalf("%s: seed round %+v, want a hit on %s", b.name, r1, key)
-		}
-		after, err := b.c.loadRaw(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if after.Round != 1 || after.Parent != "" {
-			t.Errorf("%s: seed round entry head has round %d parent %q, want round 1", b.name, after.Round, after.Parent)
-		}
-		if !bytes.Equal(after.csv, before.csv) || !bytes.Equal(after.jsonl, before.jsonl) {
-			t.Errorf("%s: refreshing the head changed the entry's sections", b.name)
-		}
+	c, _ := openTestStoreCache(t)
+	res, err := Run(context.Background(), static, Options{Cache: c, BaseDir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("static run: %v", err)
+	}
+	key := res.Campaigns[0].Key
+	before, err := c.loadRaw(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adaptive, err := Run(context.Background(), parseAdaptiveSpec(t), Options{Cache: c, BaseDir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("adaptive run: %v", err)
+	}
+	if r1 := adaptive.Campaigns[0].Rounds[0]; !r1.Hit || r1.Key != key {
+		t.Fatalf("seed round %+v, want a hit on %s", r1, key)
+	}
+	after, err := c.loadRaw(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Round != 1 || after.Parent != "" {
+		t.Errorf("seed round entry head has round %d parent %q, want round 1", after.Round, after.Parent)
+	}
+	if !bytes.Equal(after.csv, before.csv) || !bytes.Equal(after.jsonl, before.jsonl) {
+		t.Errorf("refreshing the head changed the entry's sections")
 	}
 }

@@ -121,14 +121,14 @@ func TestSharedBudgetCapsConcurrentRuns(t *testing.T) {
 // progress but still completes every campaign.
 func TestProgressAndOnCampaignHooks(t *testing.T) {
 	spec := parseTestSpec(t)
-	cacheDir := t.TempDir()
+	cache, _ := openTestStoreCache(t)
 
 	var mu sync.Mutex
 	final := map[string]ProgressSnapshot{}
 	completed := map[string]CampaignResult{}
 	opts := Options{
-		CacheDir: cacheDir,
-		BaseDir:  t.TempDir(),
+		Cache:   cache,
+		BaseDir: t.TempDir(),
 		Progress: func(campaign string, done, total int) {
 			mu.Lock()
 			final[campaign] = ProgressSnapshot{Done: done, Total: total}

@@ -3,22 +3,21 @@ package suite
 import (
 	"fmt"
 	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 
 	"opaquebench/internal/store"
 )
 
-// The store backend keeps the cache contract — identical keys, identical
-// entry payload bytes, last write wins — and adds what a directory of files
-// cannot: queryable per-entry metadata (suite, campaign, engine, round,
-// environment, time of run), named pinned runs with refcount GC, provenance
-// chains across adaptive rounds, and a crash-recovery proof per entry (each
-// is one checksummed frame in the append-only log). The store treats the
-// payload as opaque bytes. Suite runs are byte-identical on either backend
-// because both hand the same payload to the same hit path.
-
-// OpenCacheStore opens (creating if needed) a store-backed cache at path —
-// a single log file, not a directory.
+// OpenCacheStore opens (creating if needed) the cache's store at path — a
+// single log file, not a directory. The open takes the store's writer
+// lock, so a second read-write open of the same path fails until this one
+// is closed.
 func OpenCacheStore(path string) (*Cache, error) {
+	if err := refuseDir(path); err != nil {
+		return nil, err
+	}
 	st, err := store.Open(path, store.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("suite: open cache store: %w", err)
@@ -26,9 +25,14 @@ func OpenCacheStore(path string) (*Cache, error) {
 	return &Cache{st: st}, nil
 }
 
-// ReadCacheStore opens an existing store-backed cache read-only: no file
-// creation, no torn-tail repair, and every Store refuses.
+// ReadCacheStore opens an existing cache store read-only: no file creation,
+// no torn-tail repair, no lock, and every Store refuses. A missing path is
+// an error, not an empty cache: a comparison against a mistyped path should
+// fail loudly.
 func ReadCacheStore(path string) (*Cache, error) {
+	if err := refuseDir(path); err != nil {
+		return nil, err
+	}
 	st, err := store.Open(path, store.Options{ReadOnly: true})
 	if err != nil {
 		return nil, fmt.Errorf("suite: read cache store: %w", err)
@@ -36,15 +40,17 @@ func ReadCacheStore(path string) (*Cache, error) {
 	return &Cache{st: st}, nil
 }
 
-// NewStoreCache wraps an already-open store as a cache. The caller keeps
-// ownership of the store's lifetime (Close on the cache closes it).
-func NewStoreCache(st *store.Store) *Cache {
-	return &Cache{st: st}
+// refuseDir names the migration when a path that should be a store file
+// is a legacy cache directory.
+func refuseDir(path string) error {
+	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
+		return fmt.Errorf("suite: %s is a legacy cache directory, not a store file; import it with: suite store import <store> %s", path, path)
+	}
+	return nil
 }
 
-// Backing exposes the underlying store of a store-backed cache, nil for a
-// directory cache — the hook the CLI's query/pin/gc surface and the
-// comparator's run loader use.
+// Backing exposes the cache's underlying store — the hook the CLI's
+// query/pin/gc surface and the comparator's run loader use.
 func (c *Cache) Backing() *store.Store { return c.st }
 
 // meta derives the store's queryable metadata from an entry head. The
@@ -71,27 +77,29 @@ func (h *entryHead) meta() store.Meta {
 	return m
 }
 
-// ImportDirToStore copies every entry of a legacy cache directory into the
-// store, preserving the exact payload bytes (the on-disk file is stored
+// ImportDirToStore copies every entry of a legacy cache directory — one
+// <key>.json file per entry, in either payload format — into the store. It
+// is the only code that knows that layout. Each file's bytes are stored
 // verbatim, so a replay through the store is byte-identical to one through
-// the directory) and deriving the queryable metadata from the decoded
-// entry. Existing keys are overwritten — last write wins, matching both
-// backends' semantics. It returns the imported keys in directory (sorted
-// key) order.
+// the directory; the queryable metadata is derived from the decoded entry.
+// In-flight temporary files (.tmp) are skipped and existing keys are
+// overwritten (last write wins). It returns the imported keys, sorted.
 func ImportDirToStore(dir string, st *store.Store) ([]string, error) {
-	src, err := ReadCache(dir)
+	files, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("suite: import: %w", err)
 	}
-	if src.st != nil {
-		return nil, fmt.Errorf("suite: import: %s is a store log, not a cache directory", dir)
+	var keys []string
+	for _, f := range files {
+		name := f.Name()
+		if f.IsDir() || !strings.HasSuffix(name, ".json") || strings.Contains(name, ".tmp") {
+			continue
+		}
+		keys = append(keys, strings.TrimSuffix(name, ".json"))
 	}
-	keys, err := src.Keys()
-	if err != nil {
-		return nil, err
-	}
+	sort.Strings(keys)
 	for _, key := range keys {
-		data, err := os.ReadFile(src.path(key))
+		data, err := os.ReadFile(filepath.Join(dir, key+".json"))
 		if err != nil {
 			return nil, fmt.Errorf("suite: import %s: %w", key, err)
 		}

@@ -3,9 +3,13 @@ package suite
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -14,8 +18,8 @@ import (
 	"opaquebench/internal/store"
 )
 
-// openTestStoreCache opens a store-backed cache at a fresh path.
-func openTestStoreCache(t *testing.T) (*Cache, string) {
+// openTestStoreCache opens a cache store at a fresh path.
+func openTestStoreCache(t testing.TB) (*Cache, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "cache.store")
 	c, err := OpenCacheStore(path)
@@ -24,69 +28,6 @@ func openTestStoreCache(t *testing.T) (*Cache, string) {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c, path
-}
-
-// TestStoreBackendByteIdentical is the cross-backend half of the suite
-// determinism guarantee (TestCacheReplayByteIdentical runs each backend
-// cold and warm): at workers 1, 4 and 8, a store imported from a directory
-// cache replays every output byte-identically to the directory itself,
-// verdict JSON included.
-func TestStoreBackendByteIdentical(t *testing.T) {
-	for _, workers := range []int{1, 4, 8} {
-		spec := parseTestSpec(t)
-		for i := range spec.Campaigns {
-			spec.Campaigns[i].Workers = workers
-		}
-
-		// Cross-backend: a directory cache warmed by its own cold run,
-		// imported into a store — the two warm replays must agree byte for
-		// byte on every output, the campaign verdict JSON included (same
-		// cached environment, same verdict annotations).
-		cacheDir := t.TempDir()
-		if _, err := Run(context.Background(), spec, Options{CacheDir: cacheDir, BaseDir: t.TempDir(), Workers: workers}); err != nil {
-			t.Fatalf("workers %d: cold dir run: %v", workers, err)
-		}
-		warmFromDir := t.TempDir()
-		dirRes, err := Run(context.Background(), spec, Options{CacheDir: cacheDir, BaseDir: warmFromDir, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers %d: warm dir run: %v", workers, err)
-		}
-
-		imported, _ := openTestStoreCache(t)
-		if _, err := ImportDirToStore(cacheDir, imported.Backing()); err != nil {
-			t.Fatalf("workers %d: import: %v", workers, err)
-		}
-		warmFromStore := t.TempDir()
-		stRes, err := Run(context.Background(), spec, Options{Cache: imported, BaseDir: warmFromStore, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers %d: warm imported-store run: %v", workers, err)
-		}
-
-		for i := range dirRes.Campaigns {
-			d, s := dirRes.Campaigns[i], stRes.Campaigns[i]
-			if d.Name != s.Name || d.Key != s.Key || d.Hit != s.Hit || d.Trials != s.Trials || d.Records != s.Records {
-				t.Errorf("workers %d: verdicts diverge between backends: dir %+v store %+v", workers, d, s)
-			}
-		}
-		for _, c := range spec.Campaigns {
-			for _, name := range []string{c.Out, c.JSONL, c.Env} {
-				if name == "" {
-					continue
-				}
-				want := readFile(t, filepath.Join(warmFromDir, name))
-				got := readFile(t, filepath.Join(warmFromStore, name))
-				if !bytes.Equal(want, got) {
-					t.Errorf("workers %d: %s/%s differs between dir and store backends (%d vs %d bytes)",
-						workers, c.Name, name, len(want), len(got))
-				}
-			}
-		}
-
-		// The imported store must also survive its own integrity check.
-		if _, err := imported.Backing().Verify(); err != nil {
-			t.Errorf("workers %d: imported store Verify: %v", workers, err)
-		}
-	}
 }
 
 // randomEntry builds one seeded pseudo-random cache entry — the property
@@ -145,83 +86,82 @@ func replayStreams(t *testing.T, e *Entry) ([]byte, []byte) {
 	return csv.Bytes(), jsonl.Bytes()
 }
 
-// TestStoreImportPropertyRoundTrip is the property test over the three
-// write paths: ~200 seeded random entries written to a cache directory and
-// to a store directly, plus an import of the directory into a third store —
-// Keys() and every entry's CSV/JSONL replay byte stream must be identical
-// across all backends.
+// TestStoreImportPropertyRoundTrip is the property test over the legacy
+// import: ~200 seeded random entries are written in the legacy directory
+// layout — most as the format-2 bytes storeRaw writes, some as legacy JSON —
+// beside in-flight temporary files, and imported into one store, while the
+// same entries are Stored directly into another. Both stores must hold the
+// same Keys() and replay every entry's CSV/JSONL byte stream identically.
 func TestStoreImportPropertyRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(20170529))
-	dirCache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacyDir := t.TempDir()
 	directCache, _ := openTestStoreCache(t)
 	const cases = 200
 	keys := make([]string, 0, cases)
 	for i := 0; i < cases; i++ {
 		key, e := randomEntry(r, i)
-		if err := dirCache.Store(key, e); err != nil {
-			t.Fatalf("case %d: dir store: %v", i, err)
+		if i < 2 {
+			// "k" sorts before "k-1", but "k.json" sorts after
+			// "k-1.json": the import must walk keys, not file names.
+			key = []string{"k", "k-1"}[i]
+		}
+		var data []byte
+		var err error
+		if i%5 == 0 {
+			data, err = json.Marshal(e)
+		} else {
+			var raw *rawEntry
+			if raw, err = newRawEntry(e); err == nil {
+				data, err = raw.encode()
+			}
+		}
+		if err != nil {
+			t.Fatalf("case %d: encode: %v", i, err)
+		}
+		if err := os.WriteFile(filepath.Join(legacyDir, key+".json"), data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 == 0 {
+			// A crashed writer's temp file is not an entry.
+			if err := os.WriteFile(filepath.Join(legacyDir, key+".tmp123.json"), data[:len(data)/2], 0o666); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := directCache.Store(key, e); err != nil {
-			t.Fatalf("case %d: store store: %v", i, err)
+			t.Fatalf("case %d: store: %v", i, err)
 		}
 		keys = append(keys, key)
 	}
 
 	importedCache, _ := openTestStoreCache(t)
-	impKeys, err := ImportDirToStore(dirOfCache(t, dirCache), importedCache.Backing())
+	impKeys, err := ImportDirToStore(legacyDir, importedCache.Backing())
 	if err != nil {
 		t.Fatalf("import: %v", err)
 	}
-	if len(impKeys) != cases {
-		t.Fatalf("imported %d entries, want %d", len(impKeys), cases)
+	sort.Strings(keys)
+	if !reflect.DeepEqual(impKeys, keys) {
+		t.Fatalf("imported %d keys, want the %d written, sorted", len(impKeys), len(keys))
 	}
-
-	dirKeys, err := dirCache.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, backend := range []struct {
-		name string
-		c    *Cache
-	}{{"direct store", directCache}, {"imported store", importedCache}} {
-		bk, err := backend.c.Keys()
-		if err != nil {
-			t.Fatalf("%s: Keys: %v", backend.name, err)
-		}
-		if len(bk) != len(dirKeys) {
-			t.Fatalf("%s: %d keys, dir has %d", backend.name, len(bk), len(dirKeys))
-		}
-		for i := range bk {
-			if bk[i] != dirKeys[i] {
-				t.Fatalf("%s: key order diverges at %d: %s vs %s", backend.name, i, bk[i], dirKeys[i])
-			}
-		}
+	if got, want := importedCache.Keys(), directCache.Keys(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("imported store holds %d keys, direct store %d", len(got), len(want))
 	}
 
 	for _, key := range keys {
-		want, err := dirCache.Load(key)
+		want, err := directCache.Load(key)
 		if err != nil {
-			t.Fatalf("dir load %s: %v", key, err)
+			t.Fatalf("direct load %s: %v", key, err)
+		}
+		got, err := importedCache.Load(key)
+		if err != nil {
+			t.Fatalf("imported load %s: %v", key, err)
 		}
 		wantCSV, wantJSONL := replayStreams(t, want)
-		for _, backend := range []struct {
-			name string
-			c    *Cache
-		}{{"direct store", directCache}, {"imported store", importedCache}} {
-			got, err := backend.c.Load(key)
-			if err != nil {
-				t.Fatalf("%s: load %s: %v", backend.name, key, err)
-			}
-			gotCSV, gotJSONL := replayStreams(t, got)
-			if !bytes.Equal(gotCSV, wantCSV) {
-				t.Errorf("%s: %s: CSV replay stream differs (%d vs %d bytes)", backend.name, key, len(gotCSV), len(wantCSV))
-			}
-			if !bytes.Equal(gotJSONL, wantJSONL) {
-				t.Errorf("%s: %s: JSONL replay stream differs (%d vs %d bytes)", backend.name, key, len(gotJSONL), len(wantJSONL))
-			}
+		gotCSV, gotJSONL := replayStreams(t, got)
+		if !bytes.Equal(gotCSV, wantCSV) {
+			t.Errorf("%s: CSV replay stream differs (%d vs %d bytes)", key, len(gotCSV), len(wantCSV))
+		}
+		if !bytes.Equal(gotJSONL, wantJSONL) {
+			t.Errorf("%s: JSONL replay stream differs (%d vs %d bytes)", key, len(gotJSONL), len(wantJSONL))
 		}
 	}
 
@@ -235,20 +175,15 @@ func TestStoreImportPropertyRoundTrip(t *testing.T) {
 	if total != cases {
 		t.Errorf("engine queries cover %d of %d imported entries", total, cases)
 	}
-}
-
-// dirOfCache recovers a directory cache's path for import.
-func dirOfCache(t *testing.T, c *Cache) string {
-	t.Helper()
-	if c.dir == "" {
-		t.Fatal("not a directory cache")
+	// And it survives its own integrity check.
+	if _, err := st.Verify(); err != nil {
+		t.Errorf("imported store Verify: %v", err)
 	}
-	return c.dir
 }
 
-// TestAdaptiveStoreProvenanceChain: an adaptive campaign through the store
-// backend replays warm all-hit, and the store's provenance chain links each
-// round to the one it was planned from.
+// TestAdaptiveStoreProvenanceChain: an adaptive campaign replays warm
+// all-hit, and the store's provenance chain links each round to the one it
+// was planned from.
 func TestAdaptiveStoreProvenanceChain(t *testing.T) {
 	spec := parseAdaptiveSpec(t)
 	cache, _ := openTestStoreCache(t)

@@ -128,16 +128,11 @@ func BuildPlans(spec *Spec) ([]Plan, error) {
 
 // Options tunes a suite run.
 type Options struct {
-	// Cache, when non-nil, is the content-addressed cache the run uses —
-	// directory-backed or store-backed, the run cannot tell the
-	// difference. It takes precedence over CacheDir; the caller keeps
-	// ownership (the run never closes it), which is how many concurrent
-	// runs share one embedded store.
+	// Cache is the content-addressed cache the run uses; nil disables
+	// caching (every campaign runs cold, nothing is stored). The caller
+	// keeps ownership (the run never closes it), which is how many
+	// concurrent runs share one store.
 	Cache *Cache
-	// CacheDir is the content-addressed cache directory; empty (with no
-	// Cache either) disables caching (every campaign runs cold, nothing
-	// is stored).
-	CacheDir string
 	// Workers overrides the spec's global worker budget when > 0. A
 	// resolved budget < 1 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -244,15 +239,6 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 		return nil, err
 	}
 	cache := opts.Cache
-	if cache == nil && opts.CacheDir != "" {
-		if opts.DryRun {
-			// Lookup-only: a dry run must create nothing, and Lookup
-			// against a directory that does not exist is simply all-miss.
-			cache = &Cache{dir: opts.CacheDir}
-		} else if cache, err = OpenCache(opts.CacheDir); err != nil {
-			return nil, err
-		}
-	}
 	budget := opts.Budget
 	if budget == nil {
 		n := opts.Workers

@@ -2,6 +2,7 @@ package suite
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -76,7 +77,7 @@ func compareSinks(t *testing.T, spec *Spec, refDir, dir, label string) {
 
 // TestCacheReplayByteIdentical is the suite determinism guarantee: a suite
 // of three campaigns (one per engine) runs cold at workers 1, 4 and 8 and
-// then warm from the cache, on each backend, and every CSV/JSONL file —
+// then warm from the cache, and every CSV/JSONL file —
 // cold, warm, any worker count — is byte-identical to a cold serial
 // core.Campaign run, with the warm run executing zero trials.
 func TestCacheReplayByteIdentical(t *testing.T) {
@@ -89,42 +90,41 @@ func TestCacheReplayByteIdentical(t *testing.T) {
 		for i := range spec.Campaigns {
 			spec.Campaigns[i].Workers = workers
 		}
-		for _, b := range testBackends(t) {
-			coldDir := t.TempDir()
-			warmDir := t.TempDir()
+		c, _ := openTestStoreCache(t)
+		coldDir := t.TempDir()
+		warmDir := t.TempDir()
 
-			cold, err := Run(context.Background(), spec, Options{
-				Cache: b.c, BaseDir: coldDir, Workers: workers,
-			})
-			if err != nil {
-				t.Fatalf("%s workers %d: cold run: %v", b.name, workers, err)
+		cold, err := Run(context.Background(), spec, Options{
+			Cache: c, BaseDir: coldDir, Workers: workers,
+		})
+		if err != nil {
+			t.Fatalf("workers %d: cold run: %v", workers, err)
+		}
+		for _, cr := range cold.Campaigns {
+			if cr.Hit || cr.Trials == 0 {
+				t.Errorf("workers %d: cold %s: verdict %s, %d trials", workers, cr.Name, cr.Verdict(), cr.Trials)
 			}
-			for _, cr := range cold.Campaigns {
-				if cr.Hit || cr.Trials == 0 {
-					t.Errorf("%s workers %d: cold %s: verdict %s, %d trials", b.name, workers, cr.Name, cr.Verdict(), cr.Trials)
-				}
-			}
-			compareSinks(t, spec, refDir, coldDir, b.name+" cold")
+		}
+		compareSinks(t, spec, refDir, coldDir, fmt.Sprintf("workers %d cold", workers))
 
-			warm, err := Run(context.Background(), spec, Options{
-				Cache: b.c, BaseDir: warmDir, Workers: workers,
-			})
-			if err != nil {
-				t.Fatalf("%s workers %d: warm run: %v", b.name, workers, err)
+		warm, err := Run(context.Background(), spec, Options{
+			Cache: c, BaseDir: warmDir, Workers: workers,
+		})
+		if err != nil {
+			t.Fatalf("workers %d: warm run: %v", workers, err)
+		}
+		for _, cr := range warm.Campaigns {
+			if !cr.Hit {
+				t.Errorf("workers %d: warm %s: verdict %s", workers, cr.Name, cr.Verdict())
 			}
-			for _, cr := range warm.Campaigns {
-				if !cr.Hit {
-					t.Errorf("%s workers %d: warm %s: verdict %s", b.name, workers, cr.Name, cr.Verdict())
-				}
-				if cr.Trials != 0 {
-					t.Errorf("%s workers %d: warm %s executed %d trials, want 0", b.name, workers, cr.Name, cr.Trials)
-				}
+			if cr.Trials != 0 {
+				t.Errorf("workers %d: warm %s executed %d trials, want 0", workers, cr.Name, cr.Trials)
 			}
-			compareSinks(t, spec, refDir, warmDir, b.name+" warm")
+		}
+		compareSinks(t, spec, refDir, warmDir, fmt.Sprintf("workers %d warm", workers))
 
-			if cold.SpecHash != warm.SpecHash {
-				t.Errorf("%s workers %d: spec hash moved between runs", b.name, workers)
-			}
+		if cold.SpecHash != warm.SpecHash {
+			t.Errorf("workers %d: spec hash moved between runs", workers)
 		}
 	}
 }
@@ -140,29 +140,28 @@ func TestEntryWithoutJSONLFileReplays(t *testing.T) {
 
 	noJSONL := parseTestSpec(t)
 	noJSONL.Campaigns[1].JSONL = ""
-	for _, b := range testBackends(t) {
-		coldDir := t.TempDir()
-		if _, err := Run(context.Background(), noJSONL, Options{Cache: b.c, BaseDir: coldDir}); err != nil {
-			t.Fatalf("%s: cold run: %v", b.name, err)
-		}
-		compareSinks(t, noJSONL, refDir, coldDir, b.name+" cold")
-		if _, err := os.Stat(filepath.Join(coldDir, full.Campaigns[1].JSONL)); !os.IsNotExist(err) {
-			t.Errorf("%s: cold run wrote an unrequested JSONL file: %v", b.name, err)
-		}
+	c, _ := openTestStoreCache(t)
+	coldDir := t.TempDir()
+	if _, err := Run(context.Background(), noJSONL, Options{Cache: c, BaseDir: coldDir}); err != nil {
+		t.Fatalf("cold run: %v", err)
+	}
+	compareSinks(t, noJSONL, refDir, coldDir, "cold")
+	if _, err := os.Stat(filepath.Join(coldDir, full.Campaigns[1].JSONL)); !os.IsNotExist(err) {
+		t.Errorf("cold run wrote an unrequested JSONL file: %v", err)
+	}
 
-		for _, spec := range []*Spec{noJSONL, full} {
-			warmDir := t.TempDir()
-			warm, err := Run(context.Background(), spec, Options{Cache: b.c, BaseDir: warmDir})
-			if err != nil {
-				t.Fatalf("%s: warm run: %v", b.name, err)
-			}
-			for _, cr := range warm.Campaigns {
-				if !cr.Hit || cr.Trials != 0 {
-					t.Errorf("%s: warm %s: verdict %s, %d trials", b.name, cr.Name, cr.Verdict(), cr.Trials)
-				}
-			}
-			compareSinks(t, spec, refDir, warmDir, b.name+" warm")
+	for _, spec := range []*Spec{noJSONL, full} {
+		warmDir := t.TempDir()
+		warm, err := Run(context.Background(), spec, Options{Cache: c, BaseDir: warmDir})
+		if err != nil {
+			t.Fatalf("warm run: %v", err)
 		}
+		for _, cr := range warm.Campaigns {
+			if !cr.Hit || cr.Trials != 0 {
+				t.Errorf("warm %s: verdict %s, %d trials", cr.Name, cr.Verdict(), cr.Trials)
+			}
+		}
+		compareSinks(t, spec, refDir, warmDir, "warm")
 	}
 }
 
@@ -170,14 +169,14 @@ func TestEntryWithoutJSONLFileReplays(t *testing.T) {
 // campaign re-runs exactly that campaign; the others replay.
 func TestEditingOneCampaignReexecutesOnlyIt(t *testing.T) {
 	spec := parseTestSpec(t)
-	cacheDir := t.TempDir()
-	if _, err := Run(context.Background(), spec, Options{CacheDir: cacheDir, BaseDir: t.TempDir()}); err != nil {
+	cache, _ := openTestStoreCache(t)
+	if _, err := Run(context.Background(), spec, Options{Cache: cache, BaseDir: t.TempDir()}); err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
 
 	edited := parseTestSpec(t)
 	edited.Campaigns[2].Seed = 99
-	res, err := Run(context.Background(), edited, Options{CacheDir: cacheDir, BaseDir: t.TempDir()})
+	res, err := Run(context.Background(), edited, Options{Cache: cache, BaseDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("edited run: %v", err)
 	}
@@ -196,20 +195,18 @@ func TestCorruptCacheEntryFallsBackToColdRun(t *testing.T) {
 	refDir := t.TempDir()
 	serialReference(t, spec, refDir)
 
-	cacheDir := t.TempDir()
-	if _, err := Run(context.Background(), spec, Options{CacheDir: cacheDir, BaseDir: t.TempDir()}); err != nil {
+	cache, _ := openTestStoreCache(t)
+	if _, err := Run(context.Background(), spec, Options{Cache: cache, BaseDir: t.TempDir()}); err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
 	plans, err := BuildPlans(spec)
 	if err != nil {
 		t.Fatalf("BuildPlans: %v", err)
 	}
-	if err := os.WriteFile(filepath.Join(cacheDir, plans[0].Key+".json"), []byte("{torn"), 0o666); err != nil {
-		t.Fatal(err)
-	}
+	plant(t, cache, plans[0].Key, []byte("{torn"))
 
 	outDir := t.TempDir()
-	res, err := Run(context.Background(), spec, Options{CacheDir: cacheDir, BaseDir: outDir})
+	res, err := Run(context.Background(), spec, Options{Cache: cache, BaseDir: outDir})
 	if err != nil {
 		t.Fatalf("run over torn cache: %v", err)
 	}
@@ -222,7 +219,7 @@ func TestCorruptCacheEntryFallsBackToColdRun(t *testing.T) {
 	compareSinks(t, spec, refDir, outDir, "post-corruption")
 
 	// The cold rerun must have repaired the entry.
-	if entry, err := (&Cache{dir: cacheDir}).Load(plans[0].Key); err != nil || len(entry.Records) == 0 {
+	if entry, err := cache.Load(plans[0].Key); err != nil || len(entry.Records) == 0 {
 		t.Errorf("entry not repaired: %v", err)
 	}
 }
@@ -231,9 +228,9 @@ func TestCorruptCacheEntryFallsBackToColdRun(t *testing.T) {
 // the spec hash and a per-campaign key and verdict.
 func TestSuiteEnvRecordsVerdicts(t *testing.T) {
 	spec := parseTestSpec(t)
-	cacheDir := t.TempDir()
+	cache, _ := openTestStoreCache(t)
 	baseDir := t.TempDir()
-	res, err := Run(context.Background(), spec, Options{CacheDir: cacheDir, BaseDir: baseDir})
+	res, err := Run(context.Background(), spec, Options{Cache: cache, BaseDir: baseDir})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -257,7 +254,7 @@ func TestSuiteEnvRecordsVerdicts(t *testing.T) {
 		}
 	}
 
-	warm, err := Run(context.Background(), spec, Options{CacheDir: cacheDir, BaseDir: t.TempDir()})
+	warm, err := Run(context.Background(), spec, Options{Cache: cache, BaseDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("warm run: %v", err)
 	}
@@ -269,12 +266,13 @@ func TestSuiteEnvRecordsVerdicts(t *testing.T) {
 }
 
 // TestDryRunTouchesNothing: -dry-run reports verdicts without creating a
-// single output file.
+// single output file or cache entry.
 func TestDryRunTouchesNothing(t *testing.T) {
 	spec := parseTestSpec(t)
-	cacheDir := filepath.Join(t.TempDir(), "cache")
+	cache, _ := openTestStoreCache(t)
+	size := cache.Backing().LogSize()
 	baseDir := t.TempDir()
-	res, err := Run(context.Background(), spec, Options{CacheDir: cacheDir, BaseDir: baseDir, DryRun: true})
+	res, err := Run(context.Background(), spec, Options{Cache: cache, BaseDir: baseDir, DryRun: true})
 	if err != nil {
 		t.Fatalf("dry run: %v", err)
 	}
@@ -290,7 +288,7 @@ func TestDryRunTouchesNothing(t *testing.T) {
 	if len(entries) != 0 {
 		t.Errorf("dry run created %d files under the base dir", len(entries))
 	}
-	if _, err := os.Stat(cacheDir); !os.IsNotExist(err) {
-		t.Errorf("dry run created the cache directory")
+	if got := cache.Backing().LogSize(); got != size {
+		t.Errorf("dry run grew the cache store from %d to %d bytes", size, got)
 	}
 }
