@@ -191,7 +191,6 @@ func (o *Outcome) Combined() (*doe.Design, error) {
 	seq := 0
 	for _, rr := range o.Rounds {
 		for _, t := range rr.Design.Trials {
-			t.Point = t.Point.Clone()
 			t.Seq = seq
 			trials = append(trials, t)
 			seq++

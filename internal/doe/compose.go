@@ -13,7 +13,8 @@ import (
 // The functions here build those compositions while preserving the
 // invariants the generators guarantee: Seq is a permutation of [0, n), no
 // (point, rep, origin) triple appears twice, and every trial's point covers
-// exactly the design's factor set.
+// exactly the design's factor set. Composed trials share the point maps of
+// the plan or designs they come from (Trial.Point is read-only).
 
 // PointReps requests extra replicates of one existing design point.
 type PointReps struct {
@@ -61,7 +62,7 @@ func Replicated(factors []Factor, plan []PointReps, seed uint64) (*Design, error
 			}
 		}
 		for rep := pr.BaseRep; rep < pr.BaseRep+pr.Extra; rep++ {
-			d.Trials = append(d.Trials, Trial{Rep: rep, Point: pr.Point.Clone(), Origin: OriginReplicate})
+			d.Trials = append(d.Trials, Trial{Rep: rep, Point: pr.Point, Origin: OriginReplicate})
 		}
 	}
 	shuffleAndSeq(d, seed)
@@ -117,7 +118,7 @@ func Merge(seed uint64, designs ...*Design) (*Design, error) {
 			}
 		}
 		for _, t := range d.Trials {
-			merged.Trials = append(merged.Trials, Trial{Rep: t.Rep, Point: t.Point.Clone(), Origin: t.Origin})
+			merged.Trials = append(merged.Trials, Trial{Rep: t.Rep, Point: t.Point, Origin: t.Origin})
 		}
 	}
 	shuffleAndSeq(merged, seed)

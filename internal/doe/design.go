@@ -13,7 +13,10 @@ type Trial struct {
 	Seq int
 	// Rep is the replicate number (0-based) of this factor combination.
 	Rep int
-	// Point is the factor combination to measure.
+	// Point is the factor combination to measure. It is read-only: a
+	// design gives every replicate of a combination the same map, and the
+	// records engines return carry it on, so writing into it would change
+	// other trials. Clone it to derive a new point.
 	Point Point
 	// Origin records why the trial is in the design: "" for trials of the
 	// original (seed) design, OriginReplicate for variance-targeted extra
@@ -100,17 +103,20 @@ func FullFactorial(factors []Factor, opt Options) (*Design, error) {
 	}
 	cross(0)
 
-	d := &Design{Factors: factors, Seed: opt.Seed, Randomized: opt.Randomize}
+	// The replicates of a combination share its one point map (Trial.Point
+	// is read-only).
+	d := &Design{Factors: factors, Seed: opt.Seed, Randomized: opt.Randomize,
+		Trials: make([]Trial, 0, reps*len(points))}
 	if opt.GroupReplicates && !opt.Randomize {
 		for _, p := range points {
 			for rep := 0; rep < reps; rep++ {
-				d.Trials = append(d.Trials, Trial{Rep: rep, Point: p.Clone(), Origin: opt.Origin})
+				d.Trials = append(d.Trials, Trial{Rep: rep, Point: p, Origin: opt.Origin})
 			}
 		}
 	} else {
 		for rep := 0; rep < reps; rep++ {
 			for _, p := range points {
-				d.Trials = append(d.Trials, Trial{Rep: rep, Point: p.Clone(), Origin: opt.Origin})
+				d.Trials = append(d.Trials, Trial{Rep: rep, Point: p, Origin: opt.Origin})
 			}
 		}
 	}

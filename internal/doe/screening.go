@@ -71,17 +71,21 @@ func PlackettBurman(factors []Factor, opt Options) (*Design, error) {
 	if reps < 1 {
 		reps = 1
 	}
+	points := make([]Point, len(matrix))
+	for ri, row := range matrix {
+		p := make(Point, len(factors))
+		for fi, f := range factors {
+			level := f.Levels[0]
+			if row[fi] == 1 {
+				level = f.Levels[1]
+			}
+			p[f.Name] = level
+		}
+		points[ri] = p
+	}
 	d := &Design{Factors: factors, Seed: opt.Seed, Randomized: opt.Randomize}
 	for rep := 0; rep < reps; rep++ {
-		for _, row := range matrix {
-			p := make(Point, len(factors))
-			for fi, f := range factors {
-				level := f.Levels[0]
-				if row[fi] == 1 {
-					level = f.Levels[1]
-				}
-				p[f.Name] = level
-			}
+		for _, p := range points {
 			d.Trials = append(d.Trials, Trial{Rep: rep, Point: p})
 		}
 	}

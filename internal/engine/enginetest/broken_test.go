@@ -20,6 +20,7 @@ import (
 const (
 	breakNothing   = ""          // in contract: the positive control
 	breakHistory   = "history"   // records depend on prior Execute calls
+	breakPoint     = "point"     // Execute writes into its trial's point
 	breakCanonical = "canonical" // Decode is not idempotent
 	breakBuild     = "build"     // Build varies between same-seed calls
 	breakRefine    = "refine"    // Refine ignores levels/bracket/origin
@@ -111,17 +112,18 @@ func (d *toyDef) Build(spec engine.Spec, seed uint64) (core.EngineFactory, *doe.
 	if err != nil {
 		return nil, nil, err
 	}
-	history := d.mode == breakHistory
+	history, writePoint := d.mode == breakHistory, d.mode == breakPoint
 	factory := core.EngineFactoryFunc(func() (core.Engine, error) {
-		return &toyEngine{seed: seed, history: history}, nil
+		return &toyEngine{seed: seed, history: history, writePoint: writePoint}, nil
 	})
 	return factory, design, nil
 }
 
 type toyEngine struct {
-	seed    uint64
-	history bool
-	calls   int
+	seed       uint64
+	history    bool
+	writePoint bool
+	calls      int
 }
 
 func (e *toyEngine) Environment() *meta.Environment { return meta.New() }
@@ -139,6 +141,11 @@ func (e *toyEngine) Execute(t doe.Trial) (core.RawRecord, error) {
 		v += float64(e.calls)
 		e.calls++
 	}
+	if e.writePoint {
+		// Scribbling a derived value into the point: every replicate
+		// sharing this map sees it.
+		t.Point["x2"] = doe.Level(fmt.Sprint(2 * x))
+	}
 	return core.RawRecord{Value: v, Seconds: v * 1e-6, At: float64(t.Seq)}, nil
 }
 
@@ -155,6 +162,7 @@ func TestToyPassesBattery(t *testing.T) {
 func TestBrokenToyFailsEachCheck(t *testing.T) {
 	breaks := map[string]string{
 		"parallel-determinism":  breakHistory,
+		"point-read-only":       breakPoint,
 		"indexed-vs-sequential": breakHistory,
 		"canonical-fixed-point": breakCanonical,
 		"build-determinism":     breakBuild,

@@ -20,7 +20,7 @@ var smallConfigs = map[string]json.RawMessage{
 	"collbench": json.RawMessage(`{"n": 12, "reps": 2}`),
 }
 
-// TestRegisteredEnginesConformance runs the full six-check battery against
+// TestRegisteredEnginesConformance runs the full seven-check battery against
 // every engine in the registry — the gate that makes "registered" mean
 // "inherits the determinism/replay discipline", automatically including
 // engines added after this test was written.

@@ -1,12 +1,12 @@
 // Package enginetest is the conformance battery for engine.Definition
-// implementations: six executable checks covering the determinism and
+// implementations: seven executable checks covering the determinism and
 // replay discipline every registered engine must uphold — byte-identical
-// serial-vs-parallel output, trial-indexed (history-independent) records,
-// idempotent spec decoding, same-seed build determinism, the adaptive
-// refine-hook contract, and a stable metric direction. New engines run the
-// whole battery with one Conformance call; the package's own tests prove
-// each check catches its violation by feeding it a deliberately broken toy
-// engine.
+// serial-vs-parallel output, read-only trial points, trial-indexed
+// (history-independent) records, idempotent spec decoding, same-seed build
+// determinism, the adaptive refine-hook contract, and a stable metric
+// direction. New engines run the whole battery with one Conformance call;
+// the package's own tests prove each check catches its violation by feeding
+// it a deliberately broken toy engine.
 package enginetest
 
 import (
@@ -51,6 +51,7 @@ type Check struct {
 func Checks() []Check {
 	return []Check{
 		{"parallel-determinism", CheckParallelDeterminism},
+		{"point-read-only", CheckPointReadOnly},
 		{"indexed-vs-sequential", CheckIndexedSequential},
 		{"canonical-fixed-point", CheckCanonicalFixedPoint},
 		{"build-determinism", CheckBuildDeterminism},
@@ -127,6 +128,48 @@ func CheckParallelDeterminism(def engine.Definition, config json.RawMessage) err
 		}
 		if !bytes.Equal(jsonl, refJSONL) {
 			return fmt.Errorf("JSONL output differs between workers %d and workers %d", workerCounts[0], w)
+		}
+	}
+	return nil
+}
+
+// CheckPointReadOnly asserts Execute leaves every trial's point as it found
+// it. A design hands all replicates of a factor combination one shared
+// point map (doe.Trial.Point), so an engine that writes into its point
+// changes the trials after it and, sharded, races the workers running
+// them. One engine first executes the design on the calling goroutine,
+// each point compared with its snapshot after its trial, so a writer is
+// caught before any concurrent run; then the runner executes it at worker
+// counts 1, 4 and 8, points compared after each run.
+func CheckPointReadOnly(def engine.Definition, config json.RawMessage) error {
+	_, factory, design, err := decodeAndBuild(def, config)
+	if err != nil {
+		return err
+	}
+	snapshot := make([]doe.Point, design.Size())
+	for i, t := range design.Trials {
+		snapshot[i] = t.Point.Clone()
+	}
+	eng, err := factory.NewEngine()
+	if err != nil {
+		return fmt.Errorf("new engine: %w", err)
+	}
+	for i, t := range design.Trials {
+		if _, err := eng.Execute(t); err != nil {
+			return fmt.Errorf("trial %d: %w", t.Seq, err)
+		}
+		if !reflect.DeepEqual(t.Point, snapshot[i]) {
+			return fmt.Errorf("trial %d: Execute changed its point from %v to %v", t.Seq, snapshot[i], t.Point)
+		}
+	}
+	for _, w := range workerCounts {
+		if _, _, err := runToSinks(design, factory, w); err != nil {
+			return fmt.Errorf("workers %d: %w", w, err)
+		}
+		for i, t := range design.Trials {
+			if !reflect.DeepEqual(t.Point, snapshot[i]) {
+				return fmt.Errorf("workers %d: trial %d point changed from %v to %v", w, t.Seq, snapshot[i], t.Point)
+			}
 		}
 	}
 	return nil

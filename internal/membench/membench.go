@@ -131,7 +131,10 @@ func (c Config) withDefaults() (Config, error) {
 
 // Engine implements core.Engine for memory campaigns.
 type Engine struct {
-	cfg       Config
+	cfg Config
+	// hierarchy is built on first use (cacheHierarchy), so the probe engine
+	// planning builds, and an engine whose trials the kernel memo serves,
+	// never pay for one.
 	hierarchy *memsim.Hierarchy
 	clock     *cpusim.Clock
 	sched     *ossim.Scheduler
@@ -167,13 +170,11 @@ type extraKey struct {
 
 // NewEngine builds an engine; the substrate state (caches, clock, page
 // pool) persists across all trials of the campaign, as it would in a real
-// process.
+// process. The cache hierarchy, megabytes of tag arrays for the larger
+// machines, is built on the first trial that simulates a kernel;
+// withDefaults has already validated every level it will be built from.
 func NewEngine(cfg Config) (*Engine, error) {
 	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	h, err := cfg.Machine.NewHierarchy()
 	if err != nil {
 		return nil, err
 	}
@@ -201,14 +202,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	steadyHz, _ := cpusim.SteadyHz(cfg.Governor, cfg.Machine.FreqTable)
 	e := &Engine{
-		cfg:       cfg,
-		hierarchy: h,
-		clock:     clock,
-		sched:     ossim.New(cfg.Sched),
-		alloc:     alloc,
-		noise:     xrand.NewDerived(cfg.Seed, "membench/noise"),
-		phase:     phase,
-		steadyHz:  steadyHz,
+		cfg:      cfg,
+		clock:    clock,
+		sched:    ossim.New(cfg.Sched),
+		alloc:    alloc,
+		noise:    xrand.NewDerived(cfg.Seed, "membench/noise"),
+		phase:    phase,
+		steadyHz: steadyHz,
 	}
 	if cfg.Indexed {
 		e.idxAlloc = memsim.NewContiguousAllocator(cfg.Machine.PageBytes)
@@ -405,9 +405,27 @@ func (e *Engine) indexedKernel(kp memsim.KernelParams, kind memsim.StreamKind) (
 	}
 	sweep, shared := memsim.SumSweep(e.cfg.Machine, bufs, kp, kind)
 	return e.memo.load(key, sweep, shared, func() (*memsim.PassProfile, error) {
-		e.hierarchy.Flush()
-		return memsim.SimulatePasses(e.cfg.Machine, e.hierarchy, bufs, kp, kind)
+		h, err := e.cacheHierarchy()
+		if err != nil {
+			return nil, err
+		}
+		h.Flush()
+		return memsim.SimulatePasses(e.cfg.Machine, h, bufs, kp, kind)
 	})
+}
+
+// cacheHierarchy returns the engine's cache hierarchy, building it on first
+// use. Nothing touches the hierarchy before the first simulated kernel, so
+// building it then changes no simulated access.
+func (e *Engine) cacheHierarchy() (*memsim.Hierarchy, error) {
+	if e.hierarchy == nil {
+		h, err := e.cfg.Machine.NewHierarchy()
+		if err != nil {
+			return nil, err
+		}
+		e.hierarchy = h
+	}
+	return e.hierarchy, nil
 }
 
 // statefulKernel simulates a kernel on the engine's persistent substrate:
@@ -436,7 +454,11 @@ func (e *Engine) statefulKernel(kp memsim.KernelParams, kind memsim.StreamKind) 
 			alloc.Free(b)
 		}
 	}()
-	return memsim.RunStream(e.cfg.Machine, e.hierarchy, bufs, kp, kind)
+	h, err := e.cacheHierarchy()
+	if err != nil {
+		return memsim.KernelResult{}, err
+	}
+	return memsim.RunStream(e.cfg.Machine, h, bufs, kp, kind)
 }
 
 // kernelMemo holds the kernel results of trial-indexed engines. An indexed

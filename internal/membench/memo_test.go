@@ -259,3 +259,34 @@ func TestStatefulCampaignBypassesMemo(t *testing.T) {
 		t.Fatalf("stateful campaign records changed: digest %s, want %s", got, statefulMemoDigest)
 	}
 }
+
+// TestHierarchyBuiltOnFirstSimulation: a new engine holds no cache
+// hierarchy, so a planning probe costs none; the engine that simulates a
+// kernel builds one, and an engine whose trials the shared memo serves
+// never does.
+func TestHierarchyBuiltOnFirstSimulation(t *testing.T) {
+	factory := Factory(Config{Machine: memsim.CoreI7(), Seed: 3})
+	engines := make([]*Engine, 2)
+	for i := range engines {
+		e, err := factory.NewEngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = e.(*Engine)
+		if engines[i].hierarchy != nil {
+			t.Fatalf("engine %d built a hierarchy before its first trial", i)
+		}
+	}
+	point := doe.Point{FactorSize: "65536", FactorStride: "4"}
+	for i, e := range engines {
+		if _, err := e.Execute(doe.Trial{Seq: i, Point: point}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if engines[0].hierarchy == nil {
+		t.Fatal("the simulating engine has no hierarchy")
+	}
+	if engines[1].hierarchy != nil {
+		t.Fatal("an engine served by the memo built a hierarchy")
+	}
+}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 
 	"opaquebench/internal/xrand"
 )
@@ -31,20 +32,30 @@ func bootstrapDefaults(level float64, reps int) (float64, int) {
 }
 
 // percentileCI extracts the two-sided percentile interval from a set of
-// bootstrap estimates.
+// bootstrap estimates, sorting them in place once for both ends.
 func percentileCI(estimates []float64, level float64) CI {
 	alpha := (1 - level) / 2
+	sort.Float64s(estimates)
 	return CI{
-		Lo:    Quantile(estimates, alpha),
-		Hi:    Quantile(estimates, 1-alpha),
+		Lo:    quantileSorted(estimates, alpha),
+		Hi:    quantileSorted(estimates, 1-alpha),
 		Level: level,
 	}
+}
+
+// medianInPlace is Median for a non-empty resample the caller owns: it
+// sorts xs in place instead of a copy. Sorting the same values in the same
+// order runs the same sort, so the result is bit-identical to Median(xs).
+func medianInPlace(xs []float64) float64 {
+	sort.Float64s(xs)
+	return quantileSorted(xs, 0.5)
 }
 
 // BootstrapCI estimates a percentile-bootstrap confidence interval for an
 // arbitrary statistic. Keeping the raw data (stage 3 of the methodology)
 // is what makes resampling possible at all — an aggregate-only report
-// cannot be bootstrapped.
+// cannot be bootstrapped. stat is handed a scratch resample that is
+// refilled before every call, so it may reorder its argument.
 func BootstrapCI(xs []float64, stat func([]float64) float64, level float64, reps int, seed uint64) (CI, error) {
 	if len(xs) == 0 {
 		return CI{}, ErrEmpty
@@ -71,6 +82,7 @@ func BootstrapCI(xs []float64, stat func([]float64) float64, level float64, reps
 // Degenerate samples stay degenerate: with n=1 or all-tied values on both
 // sides every resample reproduces the originals, so the interval collapses
 // to a point instead of going NaN.
+// Like BootstrapCI's, stat is handed scratch resamples it may reorder.
 func ShiftCI(before, after []float64, stat func([]float64) float64, level float64, reps int, seed uint64) (CI, error) {
 	if len(before) == 0 || len(after) == 0 {
 		return CI{}, ErrEmpty
@@ -96,7 +108,7 @@ func ShiftCI(before, after []float64, stat func([]float64) float64, level float6
 // multimodal and heavy-tailed value distributions benchmark campaigns
 // produce, where a mean shift can be driven entirely by a few outliers.
 func MedianShiftCI(before, after []float64, level float64, reps int, seed uint64) (CI, error) {
-	return ShiftCI(before, after, Median, level, reps, seed)
+	return ShiftCI(before, after, medianInPlace, level, reps, seed)
 }
 
 // MeanCI is BootstrapCI for the mean.
@@ -104,9 +116,11 @@ func MeanCI(xs []float64, level float64, reps int, seed uint64) (CI, error) {
 	return BootstrapCI(xs, Mean, level, reps, seed)
 }
 
-// MedianCI is BootstrapCI for the median.
+// MedianCI is BootstrapCI for the median. Each resample's median is taken
+// in place, on the resample buffer BootstrapCI owns, rather than on a
+// sorted copy.
 func MedianCI(xs []float64, level float64, reps int, seed uint64) (CI, error) {
-	return BootstrapCI(xs, Median, level, reps, seed)
+	return BootstrapCI(xs, medianInPlace, level, reps, seed)
 }
 
 // Autocorr returns the lag-k sample autocorrelation of xs in its given

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"opaquebench/internal/xrand"
 )
 
 func TestBootstrapCICoversTruth(t *testing.T) {
@@ -238,5 +240,104 @@ func TestAutocorrDegenerate(t *testing.T) {
 	}
 	if TemporalAnomaly([]float64{1}) {
 		t.Fatal("singleton flagged")
+	}
+}
+
+// oracleBootstrapCI is the copying bootstrap the in-place median must
+// reproduce: the statistic sees each resample through Median's sorted copy,
+// and each end of the interval is its own copy-and-sort Quantile.
+func oracleBootstrapCI(xs []float64, stat func([]float64) float64, level float64, reps int, seed uint64) CI {
+	level, reps = bootstrapDefaults(level, reps)
+	r := xrand.NewDerived(seed, "stats/bootstrap")
+	resample := make([]float64, len(xs))
+	estimates := make([]float64, reps)
+	for b := 0; b < reps; b++ {
+		for i := range resample {
+			resample[i] = xs[r.IntN(len(xs))]
+		}
+		estimates[b] = stat(resample)
+	}
+	alpha := (1 - level) / 2
+	return CI{Lo: Quantile(estimates, alpha), Hi: Quantile(estimates, 1-alpha), Level: level}
+}
+
+// oracleShiftCI is oracleBootstrapCI's two-sample counterpart.
+func oracleShiftCI(before, after []float64, stat func([]float64) float64, level float64, reps int, seed uint64) CI {
+	level, reps = bootstrapDefaults(level, reps)
+	r := xrand.NewDerived(seed, "stats/bootstrap-shift")
+	ra := make([]float64, len(before))
+	rb := make([]float64, len(after))
+	estimates := make([]float64, reps)
+	for b := 0; b < reps; b++ {
+		for i := range ra {
+			ra[i] = before[r.IntN(len(before))]
+		}
+		for i := range rb {
+			rb[i] = after[r.IntN(len(after))]
+		}
+		estimates[b] = stat(rb) - stat(ra)
+	}
+	alpha := (1 - level) / 2
+	return CI{Lo: Quantile(estimates, alpha), Hi: Quantile(estimates, 1-alpha), Level: level}
+}
+
+// sameCI compares two intervals bit for bit, so NaN ends and signed zeros
+// must match exactly too.
+func sameCI(a, b CI) bool {
+	return math.Float64bits(a.Lo) == math.Float64bits(b.Lo) &&
+		math.Float64bits(a.Hi) == math.Float64bits(b.Hi) && a.Level == b.Level
+}
+
+// tiedSample draws n values from a handful of levels, so most resamples are
+// full of ties, with an occasional NaN, infinity or negative zero.
+func tiedSample(r *rand.Rand, n int) []float64 {
+	levels := []float64{1, 2, 2.5, 3, 0, math.Copysign(0, -1), math.Inf(1), math.NaN()}
+	xs := make([]float64, n)
+	for i := range xs {
+		if r.IntN(10) == 0 {
+			xs[i] = levels[4+r.IntN(4)]
+		} else {
+			xs[i] = levels[r.IntN(4)]
+		}
+	}
+	return xs
+}
+
+// TestInPlaceMedianCIsMatchOracle: the in-place median bootstrap and the
+// sort-once percentile interval give the copying oracle's intervals bit for
+// bit, on samples with heavy ties, NaN and n=1. Adaptive schedules and
+// comparator verdicts are built on these intervals.
+func TestInPlaceMedianCIsMatchOracle(t *testing.T) {
+	r := rand.New(rand.NewPCG(53, 53))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.IntN(40)
+		if trial%10 == 0 {
+			n = 1
+		}
+		xs, ys := tiedSample(r, n), tiedSample(r, 1+r.IntN(40))
+		level := []float64{0.9, 0.95, 0.99}[trial%3]
+		reps, seed := 10+r.IntN(200), r.Uint64()
+
+		got, err := MedianCI(xs, level, reps, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracleBootstrapCI(xs, Median, level, reps, seed); !sameCI(got, want) {
+			t.Fatalf("MedianCI(%v) = %+v, oracle %+v", xs, got, want)
+		}
+		got, err = MeanCI(xs, level, reps, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracleBootstrapCI(xs, Mean, level, reps, seed); !sameCI(got, want) {
+			t.Fatalf("MeanCI(%v) = %+v, oracle %+v", xs, got, want)
+		}
+		got, err = MedianShiftCI(xs, ys, level, reps, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracleShiftCI(xs, ys, Median, level, reps, seed); !sameCI(got, want) {
+			t.Fatalf("MedianShiftCI(%v, %v) = %+v, oracle %+v", xs, ys, got, want)
+		}
 	}
 }

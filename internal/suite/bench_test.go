@@ -2,6 +2,9 @@ package suite
 
 import (
 	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -73,6 +76,45 @@ func BenchmarkSuiteStaticHit(b *testing.B) {
 			if !cr.Hit {
 				b.Fatalf("%s missed the cache", cr.Name)
 			}
+		}
+	}
+}
+
+// warmEditSpec is the shape of the study a warm edit re-plans on every
+// iteration: the four light campaigns, a membench ladder on the i7, and the
+// adaptive campaign of examples/suite/adaptive.json.
+func warmEditSpec(tb testing.TB) *Spec {
+	tb.Helper()
+	spec, err := Parse([]byte(lightSpecJSON), "light.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "suite", "adaptive.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	adaptive, err := Parse(data, "adaptive.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec.Campaigns = append(spec.Campaigns, Campaign{
+		Name: "mem-small", Engine: "membench", Seed: 5, Workers: 2,
+		Config: json.RawMessage(`{"machine":"i7","governor":"performance","sizes":[4096,16384,65536,262144],"strides":[1,2,4,8],"reps":4}`),
+		Out:    "mem-small.csv", JSONL: "mem-small.jsonl",
+	})
+	spec.Campaigns = append(spec.Campaigns, adaptive.Campaigns...)
+	return spec
+}
+
+// BenchmarkBuildPlans measures planning the warm-edit study: config
+// decoding, design materialization, the engine probe and cache keys, which
+// every suite run pays serially before any campaign starts.
+func BenchmarkBuildPlans(b *testing.B) {
+	spec := warmEditSpec(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := BuildPlans(spec); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

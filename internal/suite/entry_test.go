@@ -362,7 +362,12 @@ func TestStaticHitAllocationsIndependentOfSize(t *testing.T) {
 			t.Fatalf("%d records replayed as %d CSV lines", n, lines)
 		}
 	}
-	if diff := allocs[10000] - allocs[100]; diff > 2 || diff < -2 {
+	// Under the race detector sync.Pool drops a random share of what it is
+	// given, so a hit's count varies by a few allocations from run to run
+	// (73 to 78 seen). The band of 10 is under one allocation per 990
+	// extra records: one extra allocation per 100 records (99 more) still
+	// fails it.
+	if diff := allocs[10000] - allocs[100]; diff > 10 || diff < -10 {
 		t.Errorf("hit allocations grow with the entry: %.0f for 100 records, %.0f for 10000", allocs[100], allocs[10000])
 	}
 	t.Logf("allocations per hit: %.0f (100 records), %.0f (10000 records)", allocs[100], allocs[10000])

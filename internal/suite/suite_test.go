@@ -6,10 +6,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"opaquebench/internal/core"
+	"opaquebench/internal/memsim"
 	"opaquebench/internal/runner"
 )
 
@@ -291,4 +293,45 @@ func TestDryRunTouchesNothing(t *testing.T) {
 	if got := cache.Backing().LogSize(); got != size {
 		t.Errorf("dry run grew the cache store from %d to %d bytes", size, got)
 	}
+}
+
+// totalAlloc returns the bytes f allocates, the least of three runs, so a
+// stray allocation elsewhere in the process cannot inflate it.
+func totalAlloc(f func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestPlanningBuildsNoHierarchy: planning an i7 membench campaign probes
+// its engine factory to reject bad configs, but the probe engine builds no
+// cache hierarchy, so the whole plan allocates a small fraction of one.
+func TestPlanningBuildsNoHierarchy(t *testing.T) {
+	spec, err := Parse([]byte(`{"suite": "plan", "campaigns": [{"name": "mem", "engine": "membench", "seed": 5,
+		"config": {"machine": "i7", "sizes": [4096, 65536, 1048576], "strides": [1, 16], "reps": 2}, "out": "mem.csv"}]}`), "plan.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func() {
+		if _, err := BuildPlans(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan() // the module version is computed once per process
+	hierarchy := totalAlloc(func() {
+		if _, err := memsim.CoreI7().NewHierarchy(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	planning := totalAlloc(plan)
+	if planning > hierarchy/16 {
+		t.Errorf("planning one i7 campaign allocates %d bytes; one i7 hierarchy is %d", planning, hierarchy)
+	}
+	t.Logf("planning allocates %d bytes; one i7 hierarchy is %d", planning, hierarchy)
 }
