@@ -131,7 +131,7 @@ func BenchmarkExtStream(b *testing.B) {
 }
 
 // Campaign-execution benches: the same 10k-trial membench campaign through
-// the serial core.Campaign loop and through the sharded runner. The records
+// the runner's inline one-worker schedule and through its sharded one. The records
 // are identical by construction (trial-indexed engines; see DESIGN.md §6);
 // only wall-clock differs. Compare with
 //
@@ -169,7 +169,7 @@ func BenchmarkCampaign10kSerial(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (&core.Campaign{Design: d, Engine: eng}).Run(); err != nil {
+		if _, err := runner.Sequential(context.Background(), d, eng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -279,7 +279,7 @@ func TestParallelSpeedupAt4Workers(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := time.Now()
-	serial, err := (&core.Campaign{Design: d, Engine: eng}).Run()
+	serial, err := runner.Sequential(context.Background(), d, eng)
 	if err != nil {
 		t.Fatal(err)
 	}

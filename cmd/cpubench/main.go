@@ -3,8 +3,8 @@
 // workloads, executes every trial in design order through the cpubench
 // engine — DVFS governor and OS scheduling interference included — and
 // writes the full raw results plus the captured environment. -workers > 1
-// (or -indexed at -workers 1) runs trial-indexed with streamed,
-// byte-identical output (see internal/runner); cmd/suite orchestrates many
+// (or -indexed at -workers 1) runs trial-indexed with byte-identical
+// output (see internal/runner); cmd/suite orchestrates many
 // such campaigns with a result cache.
 package main
 
@@ -85,9 +85,9 @@ Flags:
 	duty := fs.Float64("duty", 1, "busy fraction per loop repetition, (0, 1]")
 	reps := fs.Int("reps", 42, "replicates when generating the default design")
 	indexed := fs.Bool("indexed", false, "trial-indexed execution even at -workers 1, so serial output is byte-identical to any sharded run (requires a load-oblivious governor and a pinned scheduler)")
-	workers := fs.Int("workers", 1, "parallel campaign workers; >1 shards the design across trial-indexed engines (requires a load-oblivious governor and a pinned scheduler) and streams records as they complete")
+	workers := fs.Int("workers", 1, "parallel campaign workers; >1 shards the design across trial-indexed engines (requires a load-oblivious governor and a pinned scheduler)")
 	outPath := fs.String("o", "", "raw results CSV (default stdout)")
-	jsonlPath := fs.String("jsonl", "", "raw results JSONL output (optional, streamed)")
+	jsonlPath := fs.String("jsonl", "", "raw results JSONL output (optional)")
 	envPath := fs.String("env", "", "environment JSON output (optional)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -142,32 +142,25 @@ Flags:
 		SamplingPeriodSec: *period,
 		Sched:             ossim.Config{Policy: pol, Unpinned: *unpinned},
 		GapSec:            *gap,
-		Indexed:           *indexed,
 	}
-	var eng core.Engine
-	if *workers <= 1 {
+	// The campaign runs first and the outputs open only after it succeeds,
+	// so a failed invocation never touches an existing output file. A
+	// stateful run keeps one engine's history; any other run is
+	// trial-indexed and may shard.
+	var res *core.Results
+	if *workers <= 1 && !*indexed {
+		var eng *cpubench.Engine
 		if eng, err = cpubench.NewEngine(cfg); err != nil {
 			return err
 		}
+		res, err = runner.Sequential(context.Background(), design, eng)
+	} else {
+		res, err = runner.Run(context.Background(), design, cpubench.Factory(cfg), runner.Config{Workers: max(*workers, 1)})
 	}
-
-	// Output files open lazily: serial runs only touch them after the
-	// campaign succeeds; parallel runs open them post-validation to stream.
-	var closers []io.Closer
-	defer func() {
-		for _, c := range closers {
-			c.Close()
-		}
-	}()
-	openSinks := func() ([]runner.RecordSink, error) {
-		sinks, cs, err := runner.FileSinks(stdout, *outPath, *jsonlPath)
-		closers = cs
-		return sinks, err
-	}
-
-	res, err := runner.RunOrSerial(context.Background(), design, cpubench.Factory(cfg),
-		eng, *workers, openSinks)
 	if err != nil {
+		return err
+	}
+	if err := runner.WriteFiles(res, stdout, *outPath, *jsonlPath); err != nil {
 		return err
 	}
 	if *envPath != "" {

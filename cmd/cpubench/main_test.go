@@ -158,6 +158,10 @@ func TestParallelWorkersReproducible(t *testing.T) {
 }
 
 func TestParallelRejectsSequentialOnlyConfig(t *testing.T) {
+	outPath := filepath.Join(t.TempDir(), "out.csv")
+	if err := os.WriteFile(outPath, []byte("precious"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	for _, c := range [][]string{
 		{"-governor", "ondemand", "-reps", "1", "-workers", "4"},
@@ -165,8 +169,11 @@ func TestParallelRejectsSequentialOnlyConfig(t *testing.T) {
 		{"-unpinned", "-reps", "1", "-workers", "4"},
 		{"-governor", "ondemand", "-reps", "1", "-indexed"},
 	} {
-		if err := run(c, &buf); err == nil {
+		if err := run(append(c, "-o", outPath), &buf); err == nil {
 			t.Fatalf("args %v accepted", c)
+		}
+		if data, err := os.ReadFile(outPath); err != nil || string(data) != "precious" {
+			t.Fatalf("args %v: rejected run touched the output file: %q, %v", c, data, err)
 		}
 	}
 }
@@ -193,8 +200,8 @@ func TestJSONLOutput(t *testing.T) {
 }
 
 // TestFailedRunPreservesOutputFile feeds a design with a bad row and
-// checks the -o target survives untouched: serial runs open outputs only
-// after the campaign succeeds.
+// checks the -o target survives untouched at one worker and sharded: the
+// outputs open only after the campaign succeeds.
 func TestFailedRunPreservesOutputFile(t *testing.T) {
 	dir := t.TempDir()
 	designPath := filepath.Join(dir, "design.csv")
@@ -203,19 +210,21 @@ func TestFailedRunPreservesOutputFile(t *testing.T) {
 	if err := os.WriteFile(designPath, []byte(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	outPath := filepath.Join(dir, "out.csv")
-	if err := os.WriteFile(outPath, []byte("precious"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := run([]string{"-design", designPath, "-o", outPath}, &buf); err == nil {
-		t.Fatal("campaign with a bad trial reported success")
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "precious" {
-		t.Fatalf("failed run clobbered the output file: %q", data)
+	for _, workers := range []string{"1", "4"} {
+		outPath := filepath.Join(dir, "out"+workers+".csv")
+		if err := os.WriteFile(outPath, []byte("precious"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := run([]string{"-design", designPath, "-workers", workers, "-o", outPath}, &buf); err == nil {
+			t.Fatalf("workers=%s: campaign with a bad trial reported success", workers)
+		}
+		data, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != "precious" {
+			t.Fatalf("workers=%s: failed run clobbered the output file: %q", workers, data)
+		}
 	}
 }

@@ -2,7 +2,7 @@
 // simulated Figure 5 machines: it reads (or generates) a randomized design,
 // executes every trial in design order through the membench engine, and
 // writes the full raw results plus the captured environment. -workers > 1
-// shards the design across trial-indexed engine instances with streamed,
+// shards the design across trial-indexed engine instances with
 // byte-identical output (see internal/runner); cmd/suite orchestrates many
 // such campaigns with a result cache.
 package main
@@ -49,9 +49,9 @@ Flags:
 	alloc := fs.String("alloc", "contiguous", "allocation: contiguous, pool, arena")
 	policy := fs.String("policy", "other", "scheduling policy: other, rt")
 	reps := fs.Int("reps", 42, "replicates when generating the default design")
-	workers := fs.Int("workers", 1, "parallel campaign workers; >1 shards the design across trial-indexed engines (requires a load-oblivious governor and contiguous allocation) and streams records as they complete")
+	workers := fs.Int("workers", 1, "parallel campaign workers; >1 shards the design across trial-indexed engines (requires a load-oblivious governor and contiguous allocation)")
 	outPath := fs.String("o", "", "raw results CSV (default stdout)")
-	jsonlPath := fs.String("jsonl", "", "raw results JSONL output (optional, streamed)")
+	jsonlPath := fs.String("jsonl", "", "raw results JSONL output (optional)")
 	envPath := fs.String("env", "", "environment JSON output (optional)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -84,30 +84,22 @@ Flags:
 		}
 	}
 
-	var eng core.Engine
+	// The campaign runs first and the outputs open only after it succeeds,
+	// so a failed invocation never touches an existing output file.
+	var res *core.Results
 	if *workers <= 1 {
+		var eng *membench.Engine
 		if eng, err = membench.NewEngine(cfg); err != nil {
 			return err
 		}
+		res, err = runner.Sequential(context.Background(), design, eng)
+	} else {
+		res, err = runner.Run(context.Background(), design, membench.Factory(cfg), runner.Config{Workers: *workers})
 	}
-
-	// Output files open lazily: serial runs only touch them after the
-	// campaign succeeds; parallel runs open them post-validation to stream.
-	var closers []io.Closer
-	defer func() {
-		for _, c := range closers {
-			c.Close()
-		}
-	}()
-	openSinks := func() ([]runner.RecordSink, error) {
-		sinks, cs, err := runner.FileSinks(stdout, *outPath, *jsonlPath)
-		closers = cs
-		return sinks, err
-	}
-
-	res, err := runner.RunOrSerial(context.Background(), design, membench.Factory(cfg),
-		eng, *workers, openSinks)
 	if err != nil {
+		return err
+	}
+	if err := runner.WriteFiles(res, stdout, *outPath, *jsonlPath); err != nil {
 		return err
 	}
 	if *envPath != "" {

@@ -127,10 +127,17 @@ func TestParallelWorkersReproducible(t *testing.T) {
 }
 
 func TestParallelRejectsSequentialOnlyConfig(t *testing.T) {
+	outPath := filepath.Join(t.TempDir(), "out.csv")
+	if err := os.WriteFile(outPath, []byte("precious"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	err := run([]string{"-machine", "i7", "-governor", "ondemand", "-reps", "1", "-workers", "4"}, &buf)
+	err := run([]string{"-machine", "i7", "-governor", "ondemand", "-reps", "1", "-workers", "4", "-o", outPath}, &buf)
 	if err == nil {
 		t.Fatal("ondemand governor accepted with -workers 4")
+	}
+	if data, err := os.ReadFile(outPath); err != nil || string(data) != "precious" {
+		t.Fatalf("rejected run touched the output file: %q, %v", data, err)
 	}
 }
 
@@ -156,8 +163,8 @@ func TestJSONLOutput(t *testing.T) {
 }
 
 // TestFailedRunPreservesOutputFile feeds a design with a bad row and
-// checks the -o target survives untouched: serial runs open outputs only
-// after the campaign succeeds.
+// checks the -o target survives untouched at one worker and sharded: the
+// outputs open only after the campaign succeeds.
 func TestFailedRunPreservesOutputFile(t *testing.T) {
 	dir := t.TempDir()
 	designPath := filepath.Join(dir, "design.csv")
@@ -166,19 +173,21 @@ func TestFailedRunPreservesOutputFile(t *testing.T) {
 	if err := os.WriteFile(designPath, []byte(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	outPath := filepath.Join(dir, "out.csv")
-	if err := os.WriteFile(outPath, []byte("precious"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := run([]string{"-machine", "p4", "-design", designPath, "-o", outPath}, &buf); err == nil {
-		t.Fatal("campaign with a bad trial reported success")
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "precious" {
-		t.Fatalf("failed run clobbered the output file: %q", data)
+	for _, workers := range []string{"1", "4"} {
+		outPath := filepath.Join(dir, "out"+workers+".csv")
+		if err := os.WriteFile(outPath, []byte("precious"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := run([]string{"-machine", "p4", "-design", designPath, "-workers", workers, "-o", outPath}, &buf); err == nil {
+			t.Fatalf("workers=%s: campaign with a bad trial reported success", workers)
+		}
+		data, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != "precious" {
+			t.Fatalf("workers=%s: failed run clobbered the output file: %q", workers, data)
+		}
 	}
 }

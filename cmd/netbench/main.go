@@ -1,12 +1,11 @@
 // Command netbench runs a white-box network campaign against a simulated
 // network profile: randomized log-uniform message sizes (Equation 1), the
 // three Section V.A operations, raw per-measurement logging, and an optional
-// temporal perturbation for pitfall studies. -collective switches to the
-// mpisim collective engine (bcast, allreduce, barrier), -fit
-// prints the supervised LogGP model after a point-to-point campaign, and
-// -workers > 1 shards the design across trial-indexed engine instances with
-// streamed, byte-identical output (see internal/runner); cmd/suite
-// orchestrates many such campaigns with a result cache.
+// temporal perturbation for pitfall studies. -fit prints the supervised
+// LogGP model after the campaign, and -workers > 1 shards the design across
+// trial-indexed engine instances with byte-identical output (see
+// internal/runner); cmd/suite orchestrates many such campaigns with a
+// result cache, and runs the collective campaigns (engine collbench).
 package main
 
 import (
@@ -17,9 +16,7 @@ import (
 	"os"
 
 	"opaquebench/internal/core"
-	"opaquebench/internal/doe"
 	"opaquebench/internal/netbench"
-	"opaquebench/internal/netsim"
 	"opaquebench/internal/runner"
 )
 
@@ -54,96 +51,57 @@ Flags:
 	perturbFactor := fs.Float64("perturb-factor", 0, "temporal perturbation stretch factor (0 = none)")
 	perturbStart := fs.Float64("perturb-start", 0, "perturbation window start (virtual seconds)")
 	perturbEnd := fs.Float64("perturb-end", 0, "perturbation window end (virtual seconds)")
-	workers := fs.Int("workers", 1, "parallel campaign workers; >1 shards the design across trial-indexed engines and streams records as they complete")
+	workers := fs.Int("workers", 1, "parallel campaign workers; >1 shards the design across trial-indexed engines")
 	outPath := fs.String("o", "", "raw results CSV (default stdout)")
-	jsonlPath := fs.String("jsonl", "", "raw results JSONL output (optional, streamed)")
+	jsonlPath := fs.String("jsonl", "", "raw results JSONL output (optional)")
 	envPath := fs.String("env", "", "environment JSON output (optional)")
 	fitBreaks := fs.Bool("fit", false, "after the campaign, print the supervised LogGP fit using the profile's true breakpoints")
-	collective := fs.Bool("collective", false, "measure collectives (bcast, allreduce, barrier) instead of point-to-point operations")
-	ranks := fs.Int("ranks", 8, "communicator size for collective campaigns")
-	allreduceSwitch := fs.Int("allreduce-switch", 0, "allreduce algorithm switchover in bytes: binomial tree below, ring at and above (0 = ring everywhere)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	p, err := netsim.ProfileByName(*profile)
+	// The flags lower into the same declarative spec a suite file carries,
+	// so the CLI and the suite orchestrator build campaigns through one
+	// code path (netbench.FromSpec; see internal/engine for the registry
+	// the orchestration layers consume). Only the -randomize=false escape
+	// hatch — inexpressible in a spec, since suites never give up
+	// randomization — regenerates the design.
+	cfg, design, err := netbench.FromSpec(netbench.Spec{
+		Profile:       *profile,
+		N:             *nSizes,
+		Min:           *minSize,
+		Max:           *maxSize,
+		Reps:          *reps,
+		PerturbFactor: *perturbFactor,
+		PerturbStart:  *perturbStart,
+		PerturbEnd:    *perturbEnd,
+	}, *seed)
 	if err != nil {
 		return err
 	}
-	var design *doe.Design
-	var engine core.Engine
-	var factory core.EngineFactory
-	if *collective {
-		design, err = netbench.CollectiveDesign(*seed, *nSizes, *minSize, *maxSize, *reps,
-			[]string{netbench.OpBcast, netbench.OpAllreduce, netbench.OpBarrier}, *randomize)
+	if !*randomize {
+		design, err = netbench.Design(*seed, *nSizes, *minSize, *maxSize, *reps, nil, false)
 		if err != nil {
 			return err
 		}
-		ccfg := netbench.CollectiveConfig{
-			Profile: p, Ranks: *ranks, Seed: *seed,
-			AllreduceSwitchBytes: *allreduceSwitch,
+	}
+
+	// The campaign runs first and the outputs open only after it succeeds,
+	// so a failed invocation never touches an existing output file.
+	var res *core.Results
+	if *workers <= 1 {
+		var eng *netbench.Engine
+		if eng, err = netbench.NewEngine(cfg); err != nil {
+			return err
 		}
-		// Collective engines are trial-indexed, so sharded runs stay
-		// byte-identical to serial ones; workers > 1 just works.
-		factory = netbench.CollectiveFactory(ccfg)
-		if *workers <= 1 {
-			if engine, err = netbench.NewCollectiveEngine(ccfg); err != nil {
-				return err
-			}
-		}
+		res, err = runner.Sequential(context.Background(), design, eng)
 	} else {
-		// The flags lower into the same declarative spec a suite file
-		// carries, so the CLI and the suite orchestrator build campaigns
-		// through one code path (netbench.FromSpec; see internal/engine for
-		// the registry the orchestration layers consume). Only the
-		// -randomize=false escape hatch — inexpressible in a spec, since
-		// suites never give up randomization — regenerates the design.
-		var cfg netbench.Config
-		cfg, design, err = netbench.FromSpec(netbench.Spec{
-			Profile:       *profile,
-			N:             *nSizes,
-			Min:           *minSize,
-			Max:           *maxSize,
-			Reps:          *reps,
-			PerturbFactor: *perturbFactor,
-			PerturbStart:  *perturbStart,
-			PerturbEnd:    *perturbEnd,
-		}, *seed)
-		if err != nil {
-			return err
-		}
-		if !*randomize {
-			design, err = netbench.Design(*seed, *nSizes, *minSize, *maxSize, *reps, nil, false)
-			if err != nil {
-				return err
-			}
-		}
-		factory = netbench.Factory(cfg)
-		if *workers <= 1 {
-			engine, err = netbench.NewEngine(cfg)
-			if err != nil {
-				return err
-			}
-		}
+		res, err = runner.Run(context.Background(), design, netbench.Factory(cfg), runner.Config{Workers: *workers})
 	}
-
-	// Output files open lazily: serial runs only touch them after the
-	// campaign succeeds; parallel runs open them post-validation to stream.
-	var closers []io.Closer
-	defer func() {
-		for _, c := range closers {
-			c.Close()
-		}
-	}()
-	openSinks := func() ([]runner.RecordSink, error) {
-		sinks, cs, err := runner.FileSinks(stdout, *outPath, *jsonlPath)
-		closers = cs
-		return sinks, err
-	}
-
-	res, err := runner.RunOrSerial(context.Background(), design, factory,
-		engine, *workers, openSinks)
 	if err != nil {
+		return err
+	}
+	if err := runner.WriteFiles(res, stdout, *outPath, *jsonlPath); err != nil {
 		return err
 	}
 	if *envPath != "" {
@@ -156,12 +114,12 @@ Flags:
 			return err
 		}
 	}
-	if *fitBreaks && !*collective {
-		model, err := netbench.FitLogGP(res, p.Breakpoints())
+	if *fitBreaks {
+		model, err := netbench.FitLogGP(res, cfg.Profile.Breakpoints())
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "LogGP model (breakpoints %v):\n%s", p.Breakpoints(), model.String())
+		fmt.Fprintf(os.Stderr, "LogGP model (breakpoints %v):\n%s", cfg.Profile.Breakpoints(), model.String())
 	}
 	return nil
 }

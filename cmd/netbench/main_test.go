@@ -72,29 +72,12 @@ func TestBadFlags(t *testing.T) {
 	var buf bytes.Buffer
 	cases := [][]string{
 		{"-profile", "infiniband"},
+		{"-collective"}, // collectives run as the collbench suite engine
 		{"-oops"},
 	}
 	for _, c := range cases {
 		if err := run(c, &buf); err == nil {
 			t.Fatalf("args %v accepted", c)
-		}
-	}
-}
-
-func TestCollectiveCampaignFlag(t *testing.T) {
-	var buf bytes.Buffer
-	args := []string{"-profile", "myrinet-gm", "-collective", "-ranks", "4", "-n", "20", "-reps", "1"}
-	if err := run(args, &buf); err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := res.GroupBy("op")
-	for _, op := range []string{"bcast", "allreduce", "barrier"} {
-		if len(ops[op]) == 0 {
-			t.Fatalf("missing collective %s", op)
 		}
 	}
 }
@@ -119,24 +102,6 @@ func TestParallelWorkersReproducible(t *testing.T) {
 		if rec.Seq != i {
 			t.Fatalf("record %d out of design order (seq %d)", i, rec.Seq)
 		}
-	}
-}
-
-func TestCollectiveWorkersReproducible(t *testing.T) {
-	// The collective engine is trial-indexed, so sharded campaigns must be
-	// byte-identical to serial ones — the property that used to be a
-	// "collective campaigns run serially" refusal.
-	base := []string{"-profile", "taurus", "-collective", "-ranks", "4",
-		"-allreduce-switch", "16384", "-n", "20", "-reps", "2", "-seed", "5"}
-	var serial, sharded bytes.Buffer
-	if err := run(append(append([]string{}, base...), "-workers", "1"), &serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append(append([]string{}, base...), "-workers", "4"), &sharded); err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != sharded.String() {
-		t.Fatal("sharded collective campaign output differs from serial")
 	}
 }
 

@@ -22,8 +22,8 @@
 //     with first-touch/interleave page placement, capacity spill and page
 //     migration (internal/numasim);
 //   - the benchmark engines that drive the substrate through designed
-//     campaigns: memory (internal/membench), network point-to-point and
-//     collective (internal/netbench), CPU/DVFS/interference
+//     campaigns: memory (internal/membench), network point-to-point
+//     (internal/netbench), CPU/DVFS/interference
 //     (internal/cpubench), NUMA page placement across the first-touch
 //     spill crossover (internal/numabench), and MPI collectives across
 //     the allreduce tree/ring switchover (internal/collbench);
@@ -38,9 +38,10 @@
 //   - a generator per paper figure/table (internal/figures) with ASCII
 //     chart rendering (internal/plot), exercised by the benchmarks in
 //     bench_test.go and the cmd/figures tool;
-//   - a parallel campaign runner (internal/runner) that shards a design
-//     across trial-indexed engine instances and streams records to CSV/JSONL
-//     sinks in design order, record-for-record identical to a serial run;
+//   - the one campaign executor (internal/runner): inline on one engine at
+//     one worker, or sharded across trial-indexed engine instances, with
+//     records streamed to CSV/JSONL sinks in design order and a sharded run
+//     record-for-record identical to a one-worker run;
 //   - a declarative suite orchestrator (internal/suite) that runs whole
 //     studies of campaigns across the registered engines from one JSON spec,
 //     concurrently under a global worker budget, with a content-addressed
@@ -73,7 +74,7 @@
 //
 // The cmd tools compose the stages through file artifacts: cmd/designgen
 // (stage 1), cmd/membench, cmd/netbench and cmd/cpubench (stage 2, with
-// -workers for sharded execution and -jsonl for a second streamed sink),
+// -workers for sharded execution and -jsonl for a second output),
 // cmd/suite (whole cached studies of stage-2 campaigns, with adaptive
 // multi-round campaigns, a plan subcommand for their schedules, -baseline
 // as a regression gate against a prior run, and -cache-store/-run plus the

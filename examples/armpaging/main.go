@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,6 +23,7 @@ import (
 	"opaquebench/internal/doe"
 	"opaquebench/internal/membench"
 	"opaquebench/internal/memsim"
+	"opaquebench/internal/runner"
 	"opaquebench/internal/stats"
 )
 
@@ -42,7 +44,7 @@ func run(alloc string, seed uint64, sizes []int) map[int]float64 {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := (&core.Campaign{Design: design, Engine: eng}).Run()
+	res, err := runner.Sequential(context.Background(), design, eng)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,12 +11,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"opaquebench/internal/core"
 	"opaquebench/internal/netbench"
 	"opaquebench/internal/netsim"
+	"opaquebench/internal/runner"
 	"opaquebench/internal/stats"
 )
 
@@ -31,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, err := (&core.Campaign{Design: design, Engine: engine}).Run()
+	results, err := runner.Sequential(context.Background(), design, engine)
 	if err != nil {
 		log.Fatal(err)
 	}

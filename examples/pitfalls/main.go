@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,6 +26,7 @@ import (
 	"opaquebench/internal/netsim"
 	"opaquebench/internal/opaque"
 	"opaquebench/internal/ossim"
+	"opaquebench/internal/runner"
 	"opaquebench/internal/stats"
 )
 
@@ -110,7 +112,7 @@ func pitfall3() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := (&core.Campaign{Design: design, Engine: eng}).Run()
+	res, err := runner.Sequential(context.Background(), design, eng)
 	if err != nil {
 		log.Fatal(err)
 	}

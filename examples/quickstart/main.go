@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 	"opaquebench/internal/doe"
 	"opaquebench/internal/membench"
 	"opaquebench/internal/memsim"
+	"opaquebench/internal/runner"
 )
 
 func main() {
@@ -38,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	results, err := (&core.Campaign{Design: design, Engine: engine}).Run()
+	results, err := runner.Sequential(context.Background(), design, engine)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package opaquebench_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"opaquebench/internal/ossim"
 	"opaquebench/internal/predict"
 	"opaquebench/internal/report"
+	"opaquebench/internal/runner"
 	"opaquebench/internal/stats"
 )
 
@@ -46,7 +48,7 @@ func TestMemoryPipelineThroughCSVArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&core.Campaign{Design: design2, Engine: eng}).Run()
+	res, err := runner.Sequential(context.Background(), design2, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func TestNetworkPipelineToPredictionFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	netRes, err := (&core.Campaign{Design: design, Engine: eng}).Run()
+	netRes, err := runner.Sequential(context.Background(), design, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +119,7 @@ func TestNetworkPipelineToPredictionFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memRes, err := (&core.Campaign{Design: memDesign, Engine: memEng}).Run()
+	memRes, err := runner.Sequential(context.Background(), memDesign, memEng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +173,7 @@ func TestReportFlagsInjectedPitfall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&core.Campaign{Design: design, Engine: eng}).Run()
+	res, err := runner.Sequential(context.Background(), design, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +209,7 @@ func TestOpaqueVsWhiteBoxHeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&core.Campaign{Design: design, Engine: eng}).Run()
+	res, err := runner.Sequential(context.Background(), design, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +255,7 @@ func TestScreeningDesignFindsDominantFactors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&core.Campaign{Design: design, Engine: eng}).Run()
+	res, err := runner.Sequential(context.Background(), design, eng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,14 @@
-// Package collbench is the registered engine form of the MPI collective
-// campaigns in internal/netbench: timed bcast/allreduce/barrier operations
-// on the protocol-level mpisim.Group, with log-uniform randomized sizes
-// and raw logging. Its central phenomenon is the allreduce algorithm
+// Package collbench owns the MPI collective campaigns: timed
+// bcast/allreduce/barrier operations on the protocol-level mpisim.Group,
+// with log-uniform randomized sizes and raw logging. Its central phenomenon is the allreduce algorithm
 // switchover — binomial tree below switch_bytes, ring at and above — the
 // collective analogue of the point-to-point protocol breakpoints, which
 // adaptive refinement localizes by zooming the size factor.
 //
-// The execution machinery lives in netbench (CollectiveEngine,
-// CollectiveFactory, CollectiveDesign); this package contributes only the
-// declarative Spec and the adapt.Refiner hooks that make the campaigns
-// buildable through the engine registry.
+// The engine (CollectiveEngine, CollectiveFactory, CollectiveDesign) reuses
+// netbench's size and op factors; the declarative Spec and the adapt.Refiner
+// hooks make the campaigns buildable through the engine registry, the only
+// front end collectives have.
 package collbench
 
 import (
@@ -32,7 +31,7 @@ const (
 
 // defaultOps lists the collective operations of a zero Spec. Barrier is
 // excluded by default: it carries no size dependence to refine.
-func defaultOps() []string { return []string{netbench.OpBcast, netbench.OpAllreduce} }
+func defaultOps() []string { return []string{OpBcast, OpAllreduce} }
 
 // Spec is the declarative form of a collective campaign — the engine half
 // of a suite file's campaign entry (see internal/suite). A zero Spec is an
@@ -88,17 +87,17 @@ func (s Spec) withDefaults() Spec {
 
 // FromSpec resolves a declarative campaign into the engine configuration
 // and the materialized design, both fully determined by (spec, seed).
-func FromSpec(s Spec, seed uint64) (netbench.CollectiveConfig, *doe.Design, error) {
+func FromSpec(s Spec, seed uint64) (CollectiveConfig, *doe.Design, error) {
 	s = s.withDefaults()
 	p, err := netsim.ProfileByName(s.Profile)
 	if err != nil {
-		return netbench.CollectiveConfig{}, nil, err
+		return CollectiveConfig{}, nil, err
 	}
-	design, err := netbench.CollectiveDesign(seed, s.N, s.Min, s.Max, s.Reps, s.Ops, true)
+	design, err := CollectiveDesign(seed, s.N, s.Min, s.Max, s.Reps, s.Ops, true)
 	if err != nil {
-		return netbench.CollectiveConfig{}, nil, err
+		return CollectiveConfig{}, nil, err
 	}
-	cfg := netbench.CollectiveConfig{
+	cfg := CollectiveConfig{
 		Profile: p,
 		Ranks:   s.Ranks,
 		Seed:    seed,
@@ -107,8 +106,8 @@ func FromSpec(s Spec, seed uint64) (netbench.CollectiveConfig, *doe.Design, erro
 		cfg.AllreduceSwitchBytes = s.SwitchBytes
 	}
 	// Validate the rest (rank count) eagerly, not at first worker start.
-	if _, err := netbench.NewCollectiveEngine(cfg); err != nil {
-		return netbench.CollectiveConfig{}, nil, err
+	if _, err := NewCollectiveEngine(cfg); err != nil {
+		return CollectiveConfig{}, nil, err
 	}
 	return cfg, design, nil
 }
@@ -144,7 +143,7 @@ func (s Spec) Refine(seed uint64, levels []int, reps int) (*doe.Design, error) {
 	}
 	for _, op := range ops {
 		switch op {
-		case netbench.OpBcast, netbench.OpAllreduce, netbench.OpBarrier:
+		case OpBcast, OpAllreduce, OpBarrier:
 		default:
 			return nil, fmt.Errorf("collbench: unknown collective %q", op)
 		}

@@ -52,11 +52,11 @@ func TestFromSpecRejectsBadInputs(t *testing.T) {
 // built from the resolved config replay the design in reverse order
 // byte-identically to a forward pass.
 func TestFactoryTrialIndexed(t *testing.T) {
-	cfg, design, err := FromSpec(Spec{N: 16, Reps: 2, Ops: []string{netbench.OpBcast, netbench.OpAllreduce, netbench.OpBarrier}}, 5)
+	cfg, design, err := FromSpec(Spec{N: 16, Reps: 2, Ops: []string{OpBcast, OpAllreduce, OpBarrier}}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := netbench.CollectiveFactory(cfg)
+	factory := CollectiveFactory(cfg)
 	fwd, err := factory.NewEngine()
 	if err != nil {
 		t.Fatal(err)
@@ -119,14 +119,14 @@ func TestSwitchoverVisibleInDuration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := netbench.NewCollectiveEngine(cfg)
+	eng, err := NewCollectiveEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(size int) float64 {
 		d, err := doe.FullFactorial([]doe.Factor{
 			doe.IntFactor(netbench.FactorSize, size),
-			doe.NewFactor(netbench.FactorOp, netbench.OpAllreduce),
+			doe.NewFactor(netbench.FactorOp, OpAllreduce),
 		}, doe.Options{Replicates: 1})
 		if err != nil {
 			t.Fatal(err)

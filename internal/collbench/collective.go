@@ -1,4 +1,4 @@
-package netbench
+package collbench
 
 import (
 	"fmt"
@@ -9,6 +9,7 @@ import (
 	"opaquebench/internal/doe"
 	"opaquebench/internal/meta"
 	"opaquebench/internal/mpisim"
+	"opaquebench/internal/netbench"
 	"opaquebench/internal/netsim"
 	"opaquebench/internal/xrand"
 )
@@ -95,11 +96,11 @@ func NewCollectiveEngine(cfg CollectiveConfig) (*CollectiveEngine, error) {
 // the communicator seed and the regime-noise stream are pure functions of
 // (cfg.Seed, t.Seq), never of a mutating engine counter.
 func (e *CollectiveEngine) Execute(t doe.Trial) (core.RawRecord, error) {
-	size, err := t.Point.Int(FactorSize)
+	size, err := t.Point.Int(netbench.FactorSize)
 	if err != nil {
 		return core.RawRecord{}, err
 	}
-	op := t.Point.Get(FactorOp)
+	op := t.Point.Get(netbench.FactorOp)
 	g, err := mpisim.NewGroup(e.cfg.Profile, e.cfg.Ranks,
 		xrand.DeriveIndexed(e.cfg.Seed, "netbench/collective/grp@", t.Seq))
 	if err != nil {
@@ -181,8 +182,8 @@ func CollectiveDesign(seed uint64, nSizes, minSize, maxSize, reps int, ops []str
 	}
 	sizes := doe.RandomSizes(seed, nSizes, minSize, maxSize)
 	factors := []doe.Factor{
-		doe.SizeFactor(FactorSize, sizes),
-		doe.NewFactor(FactorOp, ops...),
+		doe.SizeFactor(netbench.FactorSize, sizes),
+		doe.NewFactor(netbench.FactorOp, ops...),
 	}
 	return doe.FullFactorial(factors, doe.Options{Replicates: reps, Seed: seed, Randomize: randomize})
 }

@@ -1,12 +1,15 @@
-package netbench
+package collbench
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"opaquebench/internal/core"
 	"opaquebench/internal/doe"
+	"opaquebench/internal/netbench"
 	"opaquebench/internal/netsim"
+	"opaquebench/internal/runner"
 	"opaquebench/internal/stats"
 )
 
@@ -20,7 +23,7 @@ func collectiveCampaign(t *testing.T, cfg CollectiveConfig, nSizes, reps int, op
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&core.Campaign{Design: d, Engine: e}).Run()
+	res, err := runner.Sequential(context.Background(), d, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +54,7 @@ func TestCollectiveDesignRejectsUnknownOp(t *testing.T) {
 
 func TestCollectiveCampaignProducesBothOps(t *testing.T) {
 	res := collectiveCampaign(t, CollectiveConfig{Profile: netsim.MyrinetGM(), Seed: 1}, 40, 2, nil)
-	byOp := res.GroupBy(FactorOp)
+	byOp := res.GroupBy(netbench.FactorOp)
 	if len(byOp[OpBcast]) == 0 || len(byOp[OpAllreduce]) == 0 {
 		t.Fatalf("ops = %v", len(byOp))
 	}
@@ -67,7 +70,7 @@ func TestCollectiveCampaignProducesBothOps(t *testing.T) {
 
 func TestBcastTimeGrowsWithSize(t *testing.T) {
 	res := collectiveCampaign(t, CollectiveConfig{Profile: netsim.MyrinetGM(), Seed: 2}, 120, 2, []string{OpBcast})
-	xs, ys := res.XY(FactorSize)
+	xs, ys := res.XY(netbench.FactorSize)
 	fit, err := stats.FitLinear(xs, ys)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +88,7 @@ func TestAllreduceCheaperPerByteThanNaive(t *testing.T) {
 	// point-to-point transfers of the full payload.
 	profile := netsim.MyrinetGM()
 	res := collectiveCampaign(t, CollectiveConfig{Profile: profile, Seed: 3, Ranks: 8}, 80, 2, []string{OpAllreduce})
-	xs, ys := res.XY(FactorSize)
+	xs, ys := res.XY(netbench.FactorSize)
 	fit, err := stats.FitLinear(xs, ys)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +101,7 @@ func TestAllreduceCheaperPerByteThanNaive(t *testing.T) {
 
 func TestBarrierSizeInvariant(t *testing.T) {
 	res := collectiveCampaign(t, CollectiveConfig{Profile: netsim.MyrinetGM(), Seed: 4}, 60, 2, []string{OpBarrier})
-	xs, ys := res.XY(FactorSize)
+	xs, ys := res.XY(netbench.FactorSize)
 	r, err := stats.Pearson(xs, ys)
 	if err != nil {
 		t.Fatal(err)

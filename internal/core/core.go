@@ -4,9 +4,10 @@
 //
 //  1. the experimental design (package doe) — factors, randomization,
 //     replication, materialized as a schedule;
-//  2. the benchmark running engine — a dumb executor that takes measurements
-//     in exactly the designed order and logs every raw observation together
-//     with environment metadata (package meta);
+//  2. the benchmark running engine — a dumb executor (package runner,
+//     driving this package's Engine) that takes measurements in exactly the
+//     designed order and logs every raw observation together with
+//     environment metadata (package meta);
 //  3. the offline statistical analysis (package stats) — performed only
 //     after the campaign, on the full raw data.
 //
@@ -16,8 +17,6 @@
 package core
 
 import (
-	"fmt"
-
 	"opaquebench/internal/doe"
 	"opaquebench/internal/meta"
 )
@@ -62,8 +61,7 @@ type Engine interface {
 	Environment() *meta.Environment
 }
 
-// EngineFactory creates independent engine instances. The parallel runner
-// (package runner) asks for one engine per worker, because simulator engines
+// EngineFactory creates independent engine instances. The runner asks for one engine per worker, because simulator engines
 // carry per-campaign substrate state (caches, clocks, allocators) that must
 // not be shared between concurrently executing trials.
 //
@@ -71,8 +69,8 @@ type Engine interface {
 // stochastic and temporal quantity of a trial's record must derive from the
 // campaign seed and the trial's Seq alone, never from which trials ran
 // before it on the same engine. That property is what makes a sharded
-// campaign's output record-for-record identical to a serial Campaign.Run
-// with one factory-made engine.
+// campaign's output record-for-record identical to a one-worker run (see
+// package runner, the executor).
 type EngineFactory interface {
 	// NewEngine returns a fresh, independent engine.
 	NewEngine() (Engine, error)
@@ -84,55 +82,12 @@ type EngineFactoryFunc func() (Engine, error)
 // NewEngine implements EngineFactory.
 func (f EngineFactoryFunc) NewEngine() (Engine, error) { return f() }
 
-// Campaign binds a design to an engine.
-type Campaign struct {
-	Design *doe.Design
-	Engine Engine
-}
-
 // Results is the full raw output of a campaign: every record, in execution
 // order, plus the captured environment.
 type Results struct {
 	Design  *doe.Design
 	Records []RawRecord
 	Env     *meta.Environment
-}
-
-// NewResults builds an empty result set for a campaign: the environment is
-// captured from the engine and stamped with the design metadata. Shared by
-// the serial Campaign.Run and the parallel runner so serial and sharded
-// campaigns emit identical environment schemas.
-func NewResults(design *doe.Design, engine Engine) *Results {
-	res := &Results{Design: design, Env: engine.Environment()}
-	if res.Env == nil {
-		res.Env = meta.New()
-	}
-	res.Env.Setf("design/trials", "%d", design.Size())
-	res.Env.Setf("design/seed", "%d", design.Seed)
-	res.Env.Setf("design/randomized", "%v", design.Randomized)
-	return res
-}
-
-// Run executes the campaign: every trial, in design order, logging every raw
-// record.
-func (c *Campaign) Run() (*Results, error) {
-	if c.Design == nil || c.Engine == nil {
-		return nil, fmt.Errorf("core: campaign needs both a design and an engine")
-	}
-	res := NewResults(c.Design, c.Engine)
-	for _, t := range c.Design.Trials {
-		rec, err := c.Engine.Execute(t)
-		if err != nil {
-			return nil, fmt.Errorf("core: trial %d (%s): %w", t.Seq, t.Point.Key(), err)
-		}
-		rec.Seq = t.Seq
-		rec.Rep = t.Rep
-		if rec.Point == nil {
-			rec.Point = t.Point
-		}
-		res.Records = append(res.Records, rec)
-	}
-	return res, nil
 }
 
 // Len returns the number of records.

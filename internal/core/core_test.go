@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -10,28 +9,17 @@ import (
 	"opaquebench/internal/meta"
 )
 
-// fakeEngine returns value = size*2 + rep, annotated.
-type fakeEngine struct {
-	calls int
-	fail  bool
-}
-
-func (f *fakeEngine) Execute(t doe.Trial) (RawRecord, error) {
-	f.calls++
-	if f.fail {
-		return RawRecord{}, fmt.Errorf("boom")
-	}
-	size, err := t.Point.Int("size")
+// fakeRecord returns value = size*2 + rep, annotated.
+func fakeRecord(t *testing.T, tr doe.Trial) RawRecord {
+	t.Helper()
+	size, err := tr.Point.Int("size")
 	if err != nil {
-		return RawRecord{}, err
+		t.Fatal(err)
 	}
-	rec := RawRecord{Value: float64(size*2 + t.Rep), Seconds: 0.001, At: float64(f.calls)}
+	rec := RawRecord{Seq: tr.Seq, Rep: tr.Rep, Point: tr.Point,
+		Value: float64(size*2 + tr.Rep), Seconds: 0.001, At: float64(tr.Seq + 1)}
 	rec.Annotate("note", "ok")
-	return rec, nil
-}
-
-func (f *fakeEngine) Environment() *meta.Environment {
-	return meta.New().Set("engine", "fake")
+	return rec
 }
 
 func testDesign(t *testing.T, reps int) *doe.Design {
@@ -46,52 +34,16 @@ func testDesign(t *testing.T, reps int) *doe.Design {
 	return d
 }
 
+// runCampaign builds a result set with one fake record per trial, in design
+// order, the shape the runner logs.
 func runCampaign(t *testing.T, reps int) *Results {
 	t.Helper()
-	c := Campaign{Design: testDesign(t, reps), Engine: &fakeEngine{}}
-	res, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
+	d := testDesign(t, reps)
+	res := &Results{Design: d, Env: meta.New().Set("engine", "fake")}
+	for _, tr := range d.Trials {
+		res.Records = append(res.Records, fakeRecord(t, tr))
 	}
 	return res
-}
-
-func TestCampaignRunsAllTrialsInOrder(t *testing.T) {
-	res := runCampaign(t, 3)
-	if res.Len() != 18 {
-		t.Fatalf("records = %d, want 18", res.Len())
-	}
-	for i, rec := range res.Records {
-		if rec.Seq != i {
-			t.Fatalf("record %d has Seq %d: execution order broken", i, rec.Seq)
-		}
-	}
-}
-
-func TestCampaignCapturesEnvironment(t *testing.T) {
-	res := runCampaign(t, 1)
-	if res.Env.Get("engine") != "fake" {
-		t.Fatal("engine environment lost")
-	}
-	if res.Env.Get("design/trials") != "6" {
-		t.Fatalf("trials = %q", res.Env.Get("design/trials"))
-	}
-	if res.Env.Get("design/randomized") != "true" {
-		t.Fatal("randomization flag not captured")
-	}
-}
-
-func TestCampaignPropagatesErrors(t *testing.T) {
-	c := Campaign{Design: testDesign(t, 1), Engine: &fakeEngine{fail: true}}
-	if _, err := c.Run(); err == nil {
-		t.Fatal("want error")
-	}
-}
-
-func TestCampaignNilParts(t *testing.T) {
-	if _, err := (&Campaign{}).Run(); err == nil {
-		t.Fatal("want error for empty campaign")
-	}
 }
 
 func TestResultsGroupBy(t *testing.T) {

@@ -1,15 +1,16 @@
 package cpubench
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
 
-	"opaquebench/internal/core"
 	"opaquebench/internal/cpusim"
 	"opaquebench/internal/doe"
 	"opaquebench/internal/ossim"
+	"opaquebench/internal/runner"
 	"opaquebench/internal/stats"
 )
 
@@ -189,7 +190,7 @@ func TestGovernorTransitionPitfallDetected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := (&core.Campaign{Design: design, Engine: eng}).Run()
+		res, err := runner.Sequential(context.Background(), design, eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +230,7 @@ func TestRTPolicyCreatesSlowMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&core.Campaign{Design: design, Engine: eng}).Run()
+	res, err := runner.Sequential(context.Background(), design, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestUnpinnedInflatesVariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := (&core.Campaign{Design: design, Engine: eng}).Run()
+		res, err := runner.Sequential(context.Background(), design, eng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -175,9 +175,9 @@ func CheckPointReadOnly(def engine.Definition, config json.RawMessage) error {
 	return nil
 }
 
-// CheckIndexedSequential asserts factory-made engines are trial-indexed: a
-// serial core.Campaign.Run with one engine, a sharded runner.Run, and a
-// fresh engine executing the design in reverse order all produce identical
+// CheckIndexedSequential asserts factory-made engines are trial-indexed: one
+// engine executing the design in order, a sharded runner.Run, and a fresh
+// engine executing the design in reverse order all produce identical
 // records. Any history dependence — state carried from one Execute to the
 // next that leaks into a record — breaks at least one of the three.
 func CheckIndexedSequential(def engine.Definition, config json.RawMessage) error {
@@ -185,12 +185,12 @@ func CheckIndexedSequential(def engine.Definition, config json.RawMessage) error
 	if err != nil {
 		return err
 	}
-	eng, err := factory.NewEngine()
-	if err != nil {
-		return fmt.Errorf("new engine: %w", err)
+	n := design.Size()
+	inOrder, reverse := make([]int, n), make([]int, n)
+	for i := range inOrder {
+		inOrder[i], reverse[i] = i, n-1-i
 	}
-	camp := core.Campaign{Design: design, Engine: eng}
-	serial, err := camp.Run()
+	serial, err := executeInOrder(factory, design, inOrder)
 	if err != nil {
 		return fmt.Errorf("sequential run: %w", err)
 	}
@@ -198,32 +198,48 @@ func CheckIndexedSequential(def engine.Definition, config json.RawMessage) error
 	if err != nil {
 		return fmt.Errorf("sharded run: %w", err)
 	}
-	for i := range serial.Records {
-		if !reflect.DeepEqual(serial.Records[i], sharded.Records[i]) {
+	for i := range serial {
+		if !reflect.DeepEqual(serial[i], sharded.Records[i]) {
 			return fmt.Errorf("trial %d: sequential record %+v != sharded record %+v",
-				i, serial.Records[i], sharded.Records[i])
+				i, serial[i], sharded.Records[i])
 		}
 	}
-	reversed, err := factory.NewEngine()
+	reversed, err := executeInOrder(factory, design, reverse)
 	if err != nil {
-		return fmt.Errorf("new engine: %w", err)
+		return fmt.Errorf("reverse-order run: %w", err)
 	}
-	for i := design.Size() - 1; i >= 0; i-- {
+	for i := range serial {
+		if !reflect.DeepEqual(reversed[i], serial[i]) {
+			return fmt.Errorf("trial %d record depends on execution order: in-order %+v, reverse-order %+v",
+				design.Trials[i].Seq, serial[i], reversed[i])
+		}
+	}
+	return nil
+}
+
+// executeInOrder is the battery's reference executor, independent of the
+// runner under test: one fresh engine executes the design's trials in the
+// given index order, and each record, stamped with its trial's Seq, Rep and
+// point as the runner stamps it, lands at its design position.
+func executeInOrder(factory core.EngineFactory, design *doe.Design, order []int) ([]core.RawRecord, error) {
+	eng, err := factory.NewEngine()
+	if err != nil {
+		return nil, fmt.Errorf("new engine: %w", err)
+	}
+	recs := make([]core.RawRecord, design.Size())
+	for _, i := range order {
 		t := design.Trials[i]
-		rec, err := reversed.Execute(t)
+		rec, err := eng.Execute(t)
 		if err != nil {
-			return fmt.Errorf("reverse-order trial %d: %w", t.Seq, err)
+			return nil, fmt.Errorf("trial %d: %w", t.Seq, err)
 		}
 		rec.Seq, rec.Rep = t.Seq, t.Rep
 		if rec.Point == nil {
 			rec.Point = t.Point
 		}
-		if !reflect.DeepEqual(rec, serial.Records[i]) {
-			return fmt.Errorf("trial %d record depends on execution order: in-order %+v, reverse-order %+v",
-				t.Seq, serial.Records[i], rec)
-		}
+		recs[i] = rec
 	}
-	return nil
+	return recs, nil
 }
 
 // CheckCanonicalFixedPoint asserts decoding is idempotent: decode →

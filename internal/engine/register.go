@@ -86,6 +86,6 @@ func init() {
 			if err != nil {
 				return nil, nil, err
 			}
-			return netbench.CollectiveFactory(cfg), design, nil
+			return collbench.CollectiveFactory(cfg), design, nil
 		}})
 }

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -11,6 +12,7 @@ import (
 	"opaquebench/internal/netbench"
 	"opaquebench/internal/netsim"
 	"opaquebench/internal/ossim"
+	"opaquebench/internal/runner"
 	"opaquebench/internal/stats"
 	"opaquebench/internal/xrand"
 )
@@ -60,7 +62,7 @@ func AblationRandomization(seed uint64) (*Figure, error) {
 		if err != nil {
 			return 0, err
 		}
-		res, err := (&core.Campaign{Design: d, Engine: eng}).Run()
+		res, err := runner.Sequential(context.Background(), d, eng)
 		if err != nil {
 			return 0, err
 		}

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -9,6 +10,7 @@ import (
 	"opaquebench/internal/membench"
 	"opaquebench/internal/memsim"
 	"opaquebench/internal/plot"
+	"opaquebench/internal/runner"
 	"opaquebench/internal/stats"
 	"opaquebench/internal/xrand"
 )
@@ -23,7 +25,7 @@ func memCampaign(cfg membench.Config, factors []doe.Factor, reps int) (*core.Res
 	if err != nil {
 		return nil, err
 	}
-	return (&core.Campaign{Design: d, Engine: eng}).Run()
+	return runner.Sequential(context.Background(), d, eng)
 }
 
 // kb converts kibibyte counts to byte sizes.

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -9,6 +10,7 @@ import (
 	"opaquebench/internal/netbench"
 	"opaquebench/internal/netsim"
 	"opaquebench/internal/plot"
+	"opaquebench/internal/runner"
 	"opaquebench/internal/stats"
 	"opaquebench/internal/xrand"
 )
@@ -23,7 +25,7 @@ func netCampaign(profile *netsim.Profile, seed uint64, nSizes, minS, maxS, reps 
 	if err != nil {
 		return nil, err
 	}
-	return (&core.Campaign{Design: d, Engine: eng}).Run()
+	return runner.Sequential(context.Background(), d, eng)
 }
 
 // opSeries extracts one operation's (size, seconds) series.

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -10,6 +11,7 @@ import (
 	"opaquebench/internal/netbench"
 	"opaquebench/internal/netsim"
 	"opaquebench/internal/opaque"
+	"opaquebench/internal/runner"
 	"opaquebench/internal/stats"
 	"opaquebench/internal/xrand"
 )
@@ -54,7 +56,7 @@ func PitfallPerturbation(seed uint64) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := (&core.Campaign{Design: d, Engine: eng}).Run()
+	res, err := runner.Sequential(context.Background(), d, eng)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +126,7 @@ func PitfallSizeBias(seed uint64) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := (&core.Campaign{Design: d, Engine: eng}).Run()
+	res, err := runner.Sequential(context.Background(), d, eng)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +150,7 @@ func PitfallSizeBias(seed uint64) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	aligned, err := (&core.Campaign{Design: alignedDesign, Engine: eng}).Run()
+	aligned, err := runner.Sequential(context.Background(), alignedDesign, eng)
 	if err != nil {
 		return nil, err
 	}

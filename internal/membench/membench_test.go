@@ -1,6 +1,7 @@
 package membench
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"opaquebench/internal/doe"
 	"opaquebench/internal/memsim"
 	"opaquebench/internal/ossim"
+	"opaquebench/internal/runner"
 	"opaquebench/internal/stats"
 )
 
@@ -36,8 +38,7 @@ func runMem(t *testing.T, cfg Config, factors []doe.Factor, reps int) *core.Resu
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := core.Campaign{Design: d, Engine: mustEngine(t, cfg)}
-	res, err := c.Run()
+	res, err := runner.Sequential(context.Background(), d, mustEngine(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

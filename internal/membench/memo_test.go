@@ -251,7 +251,7 @@ func TestStatefulCampaignBypassesMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&core.Campaign{Design: memoDesign(t), Engine: eng}).Run()
+	res, err := runner.Sequential(context.Background(), memoDesign(t), eng)
 	if err != nil {
 		t.Fatal(err)
 	}

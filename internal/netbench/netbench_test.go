@@ -1,12 +1,14 @@
 package netbench
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"opaquebench/internal/core"
 	"opaquebench/internal/doe"
 	"opaquebench/internal/netsim"
+	"opaquebench/internal/runner"
 )
 
 func campaign(t *testing.T, cfg Config, seed uint64, nSizes, minS, maxS, reps int, randomize bool) *core.Results {
@@ -19,7 +21,7 @@ func campaign(t *testing.T, cfg Config, seed uint64, nSizes, minS, maxS, reps in
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&core.Campaign{Design: d, Engine: e}).Run()
+	res, err := runner.Sequential(context.Background(), d, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +146,7 @@ func TestFitLogGPMissingOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&core.Campaign{Design: d, Engine: e}).Run()
+	res, err := runner.Sequential(context.Background(), d, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestDetectSpecialSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aligned, err := (&core.Campaign{Design: d, Engine: e}).Run()
+	aligned, err := runner.Sequential(context.Background(), d, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,7 @@ func TestDetectSpecialSizesNeedsBothSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&core.Campaign{Design: d, Engine: e}).Run()
+	res, err := runner.Sequential(context.Background(), d, e)
 	if err != nil {
 		t.Fatal(err)
 	}

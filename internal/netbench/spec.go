@@ -14,8 +14,8 @@ const defaultReps = 4
 // Spec is the declarative form of a point-to-point network campaign — the
 // engine half of a suite file's campaign entry (see internal/suite). Field
 // semantics and defaults match the cmd/netbench flags of the same names; a
-// zero Spec is the default Taurus campaign. Collective campaigns carry
-// rank-clock state and stay exclusive to cmd/netbench -collective.
+// zero Spec is the default Taurus campaign. Collective campaigns are the
+// collbench engine's.
 type Spec struct {
 	// Profile names the simulated network (default "taurus").
 	Profile string `json:"profile,omitempty"`

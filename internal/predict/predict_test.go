@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"opaquebench/internal/memsim"
 	"opaquebench/internal/netbench"
 	"opaquebench/internal/netsim"
+	"opaquebench/internal/runner"
 )
 
 func validSig() MemorySignature {
@@ -88,7 +90,7 @@ func opteronCampaign(t *testing.T, gov cpusim.Governor, nloops int) *core.Result
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&core.Campaign{Design: d, Engine: eng}).Run()
+	res, err := runner.Sequential(context.Background(), d, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +196,7 @@ func fittedNet(t *testing.T) netbench.LogGPModel {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&core.Campaign{Design: d, Engine: eng}).Run()
+	res, err := runner.Sequential(context.Background(), d, eng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"opaquebench/internal/membench"
 	"opaquebench/internal/memsim"
 	"opaquebench/internal/ossim"
+	"opaquebench/internal/runner"
 )
 
 func campaign(t *testing.T, cfg membench.Config, sizes []int, nloops []int, reps int, randomize bool) *core.Results {
@@ -23,7 +25,7 @@ func campaign(t *testing.T, cfg membench.Config, sizes []int, nloops []int, reps
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&core.Campaign{Design: d, Engine: eng}).Run()
+	res, err := runner.Sequential(context.Background(), d, eng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,11 +45,9 @@ func TestCancellationLeavesNoTornLines(t *testing.T) {
 
 	// Full-run references for the prefix checks, from an engine producing
 	// the same records but never canceling (after: -1 never matches).
-	refEng := &cancelingEngine{cancel: func() {}, after: -1, counter: new(int64)}
-	full, err := (&core.Campaign{Design: d, Engine: refEng}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := serialRun(t, d, core.EngineFactoryFunc(func() (core.Engine, error) {
+		return &cancelingEngine{cancel: func() {}, after: -1, counter: new(int64)}, nil
+	}))
 	var refCSV, refJSONL bytes.Buffer
 	if err := full.WriteCSV(&refCSV); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -105,6 +106,12 @@ func TestRunDefaultsAndEdges(t *testing.T) {
 	if _, err := Run(context.Background(), stubDesign(t, 3), nil, Config{}); err == nil {
 		t.Fatal("nil factory accepted")
 	}
+	if _, err := Sequential(context.Background(), nil, &stubEngine{failAt: -1}); err == nil {
+		t.Fatal("Sequential accepted a nil design")
+	}
+	if _, err := Sequential(context.Background(), stubDesign(t, 3), nil); err == nil {
+		t.Fatal("Sequential accepted a nil engine")
+	}
 	// Workers <= 0 falls back to GOMAXPROCS; more workers than trials clamps.
 	res, err := Run(context.Background(), stubDesign(t, 2), stubFactory(&stubEngine{failAt: -1}), Config{Workers: -1})
 	if err != nil || res.Len() != 2 {
@@ -117,15 +124,70 @@ func TestRunDefaultsAndEdges(t *testing.T) {
 	}
 }
 
+// edgeWorkers are the worker counts the edge tests run at: the inline
+// one-worker schedule and the sharded one.
+var edgeWorkers = []int{1, 4}
+
 func TestRunFirstErrorWins(t *testing.T) {
 	d := stubDesign(t, 50)
-	_, err := Run(context.Background(), d, stubFactory(&stubEngine{failAt: 17}), Config{Workers: 4})
-	if err == nil {
-		t.Fatal("expected error")
+	for _, workers := range edgeWorkers {
+		_, err := Run(context.Background(), d, stubFactory(&stubEngine{failAt: 17}), Config{Workers: workers})
+		if err == nil {
+			t.Fatalf("workers=%d: expected error", workers)
+		}
+		want := fmt.Sprintf("runner: trial 17 (%s): boom", d.Trials[17].Point.Key())
+		if err.Error() != want {
+			t.Fatalf("workers=%d: err = %q, want %q", workers, err, want)
+		}
 	}
-	want := fmt.Sprintf("runner: trial 17 (%s): boom", d.Trials[17].Point.Key())
-	if err.Error() != want {
-		t.Fatalf("err = %q, want %q", err, want)
+}
+
+// historyEngine is stateful: each record carries how many trials the
+// engine executed before it, across every campaign it ran.
+type historyEngine struct{ calls int }
+
+func (e *historyEngine) Execute(t doe.Trial) (core.RawRecord, error) {
+	e.calls++
+	return core.RawRecord{Value: float64(e.calls)}, nil
+}
+
+func (e *historyEngine) Environment() *meta.Environment {
+	return meta.New().Set("engine", "history")
+}
+
+// TestSequentialCapturesEnvironment: the result's environment is the
+// engine's own, stamped with the design metadata and the one worker.
+func TestSequentialCapturesEnvironment(t *testing.T) {
+	res, err := Sequential(context.Background(), stubDesign(t, 6), &historyEngine{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range map[string]string{
+		"engine": "history", "design/trials": "6", "design/seed": "3",
+		"design/randomized": "true", "runner/workers": "1",
+	} {
+		if got := res.Env.Get(k); got != want {
+			t.Fatalf("env %s = %q, want %q", k, got, want)
+		}
+	}
+}
+
+// TestSequentialKeepsEngineHistory: a caller-owned engine keeps its state
+// from trial to trial and from one campaign to the next, the contract
+// history-dependent engines run under.
+func TestSequentialKeepsEngineHistory(t *testing.T) {
+	eng := &historyEngine{}
+	for campaign := 0; campaign < 2; campaign++ {
+		res, err := Sequential(context.Background(), stubDesign(t, 5), eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range res.Records {
+			if want := float64(campaign*5 + i + 1); rec.Value != want || rec.Seq != i {
+				t.Fatalf("campaign %d record %d: seq %d value %v, want seq %d value %v",
+					campaign, i, rec.Seq, rec.Value, i, want)
+			}
+		}
 	}
 }
 
@@ -140,46 +202,50 @@ func TestRunFactoryErrorSurfaces(t *testing.T) {
 
 func TestRunContextCancellation(t *testing.T) {
 	d := stubDesign(t, 1000)
-	ctx, cancel := context.WithCancel(context.Background())
 	eng := &stubEngine{failAt: -1, delay: func(int) time.Duration { return time.Millisecond }}
-	done := make(chan error, 1)
-	go func() {
-		_, err := Run(ctx, d, stubFactory(eng), Config{Workers: 2})
-		done <- err
-	}()
-	time.Sleep(5 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("canceled run returned nil error")
+	for _, workers := range edgeWorkers {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(ctx, d, stubFactory(eng), Config{Workers: workers})
+			done <- err
+		}()
+		time.Sleep(5 * time.Millisecond)
+		cancel()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d: canceled run returned %v, want context.Canceled", workers, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("workers=%d: run did not stop after cancellation", workers)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("run did not stop after cancellation")
 	}
 }
 
 func TestRunProgressMonotonic(t *testing.T) {
 	d := stubDesign(t, 23)
-	var seen []int
-	_, err := Run(context.Background(), d, stubFactory(&stubEngine{failAt: -1}), Config{
-		Workers: 4,
-		Progress: func(done, total int) {
-			if total != 23 {
-				t.Errorf("total = %d, want 23", total)
+	for _, workers := range edgeWorkers {
+		var seen []int
+		_, err := Run(context.Background(), d, stubFactory(&stubEngine{failAt: -1}), Config{
+			Workers: workers,
+			Progress: func(done, total int) {
+				if total != 23 {
+					t.Errorf("workers=%d: total = %d, want 23", workers, total)
+				}
+				seen = append(seen, done)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != 23 {
+			t.Fatalf("workers=%d: progress called %d times, want 23", workers, len(seen))
+		}
+		for i, v := range seen {
+			if v != i+1 {
+				t.Fatalf("workers=%d: progress[%d] = %d, want %d", workers, i, v, i+1)
 			}
-			seen = append(seen, done)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 23 {
-		t.Fatalf("progress called %d times, want 23", len(seen))
-	}
-	for i, v := range seen {
-		if v != i+1 {
-			t.Fatalf("progress[%d] = %d, want %d", i, v, i+1)
 		}
 	}
 }
@@ -214,17 +280,22 @@ func TestRunSinkSeesDesignOrder(t *testing.T) {
 
 func TestRunSinkErrorAborts(t *testing.T) {
 	d := stubDesign(t, 40)
-	n := 0
-	sink := sinkFunc(func(core.RawRecord) error {
-		n++
-		if n == 5 {
-			return fmt.Errorf("disk full")
+	for _, workers := range edgeWorkers {
+		n := 0
+		sink := sinkFunc(func(core.RawRecord) error {
+			n++
+			if n == 5 {
+				return fmt.Errorf("disk full")
+			}
+			return nil
+		})
+		_, err := Run(context.Background(), d, stubFactory(&stubEngine{failAt: -1}), Config{Workers: workers, Sinks: []RecordSink{sink}})
+		if err == nil || !strings.Contains(err.Error(), "runner: sink: disk full") {
+			t.Fatalf("workers=%d: err = %v, want the sink error", workers, err)
 		}
-		return nil
-	})
-	_, err := Run(context.Background(), d, stubFactory(&stubEngine{failAt: -1}), Config{Workers: 4, Sinks: []RecordSink{sink}})
-	if err == nil {
-		t.Fatal("expected sink error")
+		if n != 5 {
+			t.Fatalf("workers=%d: sink written %d times after failing on the 5th", workers, n)
+		}
 	}
 }
 
@@ -234,7 +305,32 @@ type sinkFunc func(core.RawRecord) error
 func (f sinkFunc) Write(rec core.RawRecord) error { return f(rec) }
 func (f sinkFunc) Flush() error                   { return nil }
 
-// --- Equivalence with serial core.Campaign.Run -------------------------
+// --- Equivalence with a serial reference loop ---------------------------
+
+// serialRun is the reference executor the equivalence tests compare the
+// runner against, independent of the code under test: one engine executes
+// every trial in design order, each record stamped with its trial's Seq,
+// Rep and point as the runner stamps it.
+func serialRun(t *testing.T, d *doe.Design, factory core.EngineFactory) *core.Results {
+	t.Helper()
+	eng, err := factory.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &core.Results{Design: d, Env: eng.Environment()}
+	for _, tr := range d.Trials {
+		rec, err := eng.Execute(tr)
+		if err != nil {
+			t.Fatalf("serial trial %d: %v", tr.Seq, err)
+		}
+		rec.Seq, rec.Rep = tr.Seq, tr.Rep
+		if rec.Point == nil {
+			rec.Point = tr.Point
+		}
+		res.Records = append(res.Records, rec)
+	}
+	return res
+}
 
 func membenchFixture(t *testing.T) (*doe.Design, membench.Config) {
 	t.Helper()
@@ -294,14 +390,7 @@ func assertRecordsIdentical(t *testing.T, label string, serial, parallel *core.R
 func TestMembenchParallelMatchesSerial(t *testing.T) {
 	d, cfg := membenchFixture(t)
 	factory := membench.Factory(cfg)
-	eng, err := factory.NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := (&core.Campaign{Design: d, Engine: eng}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := serialRun(t, d, factory)
 	var serialCSV bytes.Buffer
 	if err := serial.WriteCSV(&serialCSV); err != nil {
 		t.Fatal(err)
@@ -323,14 +412,7 @@ func TestMembenchParallelMatchesSerial(t *testing.T) {
 func TestNetbenchParallelMatchesSerial(t *testing.T) {
 	d, cfg := netbenchFixture(t)
 	factory := netbench.Factory(cfg)
-	eng, err := factory.NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := (&core.Campaign{Design: d, Engine: eng}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := serialRun(t, d, factory)
 	var serialCSV bytes.Buffer
 	if err := serial.WriteCSV(&serialCSV); err != nil {
 		t.Fatal(err)
@@ -370,14 +452,7 @@ func cpubenchFixture(t *testing.T) (*doe.Design, cpubench.Config) {
 func TestCpubenchParallelMatchesSerial(t *testing.T) {
 	d, cfg := cpubenchFixture(t)
 	factory := cpubench.Factory(cfg)
-	eng, err := factory.NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := (&core.Campaign{Design: d, Engine: eng}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := serialRun(t, d, factory)
 	var serialCSV bytes.Buffer
 	if err := serial.WriteCSV(&serialCSV); err != nil {
 		t.Fatal(err)
@@ -412,90 +487,37 @@ func TestParallelRunsAreReproducible(t *testing.T) {
 	assertRecordsIdentical(t, "rerun", first, second)
 }
 
-// TestRunOrSerial covers the command-line dispatch helper: both branches
-// drain the same sinks and return full results.
-func TestRunOrSerial(t *testing.T) {
-	d := stubDesign(t, 12)
-	factory := stubFactory(&stubEngine{failAt: -1})
-	serialEng, err := factory.NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var serialCSV, parCSV bytes.Buffer
-	serial, err := RunOrSerial(context.Background(), d, nil, serialEng, 1,
-		func() ([]RecordSink, error) { return []RecordSink{NewCSVSink(&serialCSV)}, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunOrSerial(context.Background(), d, factory, nil, 4,
-		func() ([]RecordSink, error) { return []RecordSink{NewCSVSink(&parCSV)}, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Len() != 12 || par.Len() != 12 {
-		t.Fatalf("lens %d, %d, want 12", serial.Len(), par.Len())
-	}
-	if serialCSV.String() != parCSV.String() {
-		t.Fatal("dispatch branches produced different CSV for a trial-indexed stub")
-	}
-	// nil openSinks means no sinks.
-	if _, err := RunOrSerial(context.Background(), d, factory, nil, 4, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunOrSerialNeverOpensSinksOnFailure pins the output-preservation
-// contract: a serial run that fails mid-campaign, or a parallel run whose
-// configuration is rejected, must not touch the output files at all.
-func TestRunOrSerialNeverOpensSinksOnFailure(t *testing.T) {
-	d := stubDesign(t, 10)
-	opened := 0
-	openSinks := func() ([]RecordSink, error) {
-		opened++
-		return nil, nil
-	}
-	failing, err := stubFactory(&stubEngine{failAt: 4}).NewEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunOrSerial(context.Background(), d, nil, failing, 1, openSinks); err == nil {
-		t.Fatal("failing serial campaign reported success")
-	}
-	badFactory := core.EngineFactoryFunc(func() (core.Engine, error) {
-		return nil, fmt.Errorf("bad config")
-	})
-	if _, err := RunOrSerial(context.Background(), d, badFactory, nil, 4, openSinks); err == nil {
-		t.Fatal("failing factory reported success")
-	}
-	if opened != 0 {
-		t.Fatalf("sinks opened %d times on failing runs, want 0", opened)
-	}
-}
-
 // TestRunFlushesPrefixOnFailure pins the crash-durability promise: when a
 // trial fails mid-campaign, the records already streamed in design order
 // must reach the sink's underlying writer, not die in a csv buffer.
 func TestRunFlushesPrefixOnFailure(t *testing.T) {
 	d := stubDesign(t, 10)
-	var buf bytes.Buffer
-	// One worker executes 0,1,2,... in order and fails at 5, so exactly
-	// the header and rows 0-4 form the flushed prefix.
-	_, err := Run(context.Background(), d, stubFactory(&stubEngine{failAt: 5}),
-		Config{Workers: 1, Sinks: []RecordSink{NewCSVSink(&buf)}})
-	if err == nil {
-		t.Fatal("failing campaign reported success")
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("flushed %d CSV lines, want header+5 rows:\n%s", len(lines), buf.String())
-	}
-	parsed, perr := core.ReadCSV(&buf)
-	if perr != nil {
-		t.Fatalf("flushed prefix does not parse: %v", perr)
-	}
-	for i, rec := range parsed.Records {
-		if rec.Seq != i {
-			t.Fatalf("prefix record %d has seq %d", i, rec.Seq)
+	for _, workers := range edgeWorkers {
+		var buf bytes.Buffer
+		_, err := Run(context.Background(), d, stubFactory(&stubEngine{failAt: 5}),
+			Config{Workers: workers, Sinks: []RecordSink{NewCSVSink(&buf)}})
+		if err == nil {
+			t.Fatalf("workers=%d: failing campaign reported success", workers)
+		}
+		// One worker executes 0,1,2,... in order and fails at 5, so exactly
+		// the header and rows 0-4 form the flushed prefix. Sharded, the
+		// failure can cancel workers before they finish an earlier trial,
+		// so the prefix may stop short of row 4.
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+		if (workers == 1 && len(lines) != 6) || len(lines) > 6 {
+			t.Fatalf("workers=%d: flushed %d CSV lines, want header+5 rows:\n%s", workers, len(lines), buf.String())
+		}
+		if buf.Len() == 0 {
+			continue
+		}
+		parsed, perr := core.ReadCSV(&buf)
+		if perr != nil {
+			t.Fatalf("workers=%d: flushed prefix does not parse: %v", workers, perr)
+		}
+		for i, rec := range parsed.Records {
+			if rec.Seq != i {
+				t.Fatalf("workers=%d: prefix record %d has seq %d", workers, i, rec.Seq)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -13,7 +12,6 @@ import (
 	"unicode/utf8"
 
 	"opaquebench/internal/core"
-	"opaquebench/internal/doe"
 )
 
 // RecordSink consumes a campaign's raw records one at a time, in design
@@ -394,6 +392,28 @@ func FileSinks(w io.Writer, outPath, jsonlPath string) ([]RecordSink, []io.Close
 	return sinks, closers, nil
 }
 
+// WriteFiles writes a finished campaign through the FileSinks set and
+// closes the files it opened — the engine CLIs' output step, taken only
+// after the campaign succeeded so a failed one leaves earlier results
+// untouched.
+func WriteFiles(res *core.Results, w io.Writer, outPath, jsonlPath string) error {
+	sinks, closers, err := FileSinks(w, outPath, jsonlPath)
+	if err != nil {
+		return err
+	}
+	for _, s := range sinks {
+		if err = WriteAll(res, s); err != nil {
+			break
+		}
+	}
+	for _, c := range closers {
+		if cerr := c.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
 // OpenFiles opens a campaign's CSV and JSONL output files for writing and
 // truncates them; an empty path yields a nil file. The caller closes the
 // files.
@@ -404,9 +424,9 @@ func FileSinks(w io.Writer, outPath, jsonlPath string) ([]RecordSink, []io.Close
 //
 // Truncation happens only after every output opened successfully, so an
 // invocation that fails on one path cannot destroy another file's previous
-// results — the same preservation guarantee the CLIs' lazy sink opening
-// gives against campaign-validation failures. On error any file already
-// opened is closed and nothing is returned.
+// results — the same preservation guarantee the engine CLIs give a failed
+// campaign by opening their outputs only after it succeeds. On error any
+// file already opened is closed and nothing is returned.
 func OpenFiles(outPath, jsonlPath string) (csv, jsonl *os.File, err error) {
 	if outPath != "" && jsonlPath != "" && filepath.Clean(outPath) == filepath.Clean(jsonlPath) {
 		return nil, nil, fmt.Errorf("runner: CSV and JSONL outputs both point at %q; one file cannot carry both streams", outPath)
@@ -443,8 +463,7 @@ func OpenFiles(outPath, jsonlPath string) (csv, jsonl *os.File, err error) {
 	return csv, jsonl, nil
 }
 
-// WriteAll drains a fully-materialized result set through a sink — the
-// serial path's way of reusing the streaming writers.
+// WriteAll drains a fully-materialized result set through a sink.
 func WriteAll(res *core.Results, sink RecordSink) error {
 	for _, rec := range res.Records {
 		if err := sink.Write(rec); err != nil {
@@ -452,53 +471,6 @@ func WriteAll(res *core.Results, sink RecordSink) error {
 		}
 	}
 	return sink.Flush()
-}
-
-// RunOrSerial is the command-line dispatch: workers > 1 shards the design
-// through Run with the factory's trial-indexed engines; otherwise the
-// campaign runs serially on engine (preserving stateful sequential
-// semantics) and the buffered records drain through the same sinks.
-//
-// Sinks are opened lazily through openSinks (nil means no sinks) so output
-// files are never touched by an invocation that fails validation. The
-// serial path opens them only after the campaign succeeds, preserving the
-// classic "a failed run never clobbers previous results" guarantee; the
-// parallel path must open them up front to stream, so a failed sharded run
-// leaves the completed prefix behind — which is the streaming sinks'
-// crash-durability value, not a loss.
-func RunOrSerial(ctx context.Context, design *doe.Design, factory core.EngineFactory,
-	engine core.Engine, workers int, openSinks func() ([]RecordSink, error)) (*core.Results, error) {
-	if openSinks == nil {
-		openSinks = func() ([]RecordSink, error) { return nil, nil }
-	}
-	if workers > 1 {
-		// Surface configuration errors before any output file is opened.
-		// The probe engine is discarded — a deliberate trade: one extra
-		// engine construction (microseconds, transient) buys file-untouched
-		// failure for every bad invocation.
-		if _, err := factory.NewEngine(); err != nil {
-			return nil, err
-		}
-		sinks, err := openSinks()
-		if err != nil {
-			return nil, err
-		}
-		return Run(ctx, design, factory, Config{Workers: workers, Sinks: sinks})
-	}
-	res, err := (&core.Campaign{Design: design, Engine: engine}).Run()
-	if err != nil {
-		return nil, err
-	}
-	sinks, err := openSinks()
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range sinks {
-		if err := WriteAll(res, s); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
 }
 
 func sortedKeys[M ~map[string]V, V any](m M) []string {

@@ -17,7 +17,7 @@
 // cold-run bytes cannot differ.
 //
 // History-dependent configurations (load-reactive governors, pool/arena
-// allocation, unpinned scheduling, collectives) are the subject of the
+// allocation, unpinned scheduling) are the subject of the
 // pitfall experiments and cannot be trial-indexed; the engine factories
 // reject them, so suites stay within the deterministic subset and such
 // campaigns keep using the engine CLIs' sequential mode.

@@ -10,13 +10,12 @@ import (
 	"strings"
 	"testing"
 
-	"opaquebench/internal/core"
 	"opaquebench/internal/memsim"
 	"opaquebench/internal/runner"
 )
 
 // serialReference runs every campaign of the spec cold and serially — the
-// classic core.Campaign loop over one factory-made engine — and writes the
+// one-worker runner.Sequential over one factory-made engine — and writes the
 // sink files the suite is expected to reproduce byte for byte.
 func serialReference(t *testing.T, spec *Spec, dir string) {
 	t.Helper()
@@ -29,7 +28,7 @@ func serialReference(t *testing.T, spec *Spec, dir string) {
 		if err != nil {
 			t.Fatalf("%s: engine: %v", p.Campaign.Name, err)
 		}
-		res, err := (&core.Campaign{Design: p.Design, Engine: eng}).Run()
+		res, err := runner.Sequential(context.Background(), p.Design, eng)
 		if err != nil {
 			t.Fatalf("%s: serial run: %v", p.Campaign.Name, err)
 		}
@@ -81,7 +80,7 @@ func compareSinks(t *testing.T, spec *Spec, refDir, dir, label string) {
 // of three campaigns (one per engine) runs cold at workers 1, 4 and 8 and
 // then warm from the cache, and every CSV/JSONL file —
 // cold, warm, any worker count — is byte-identical to a cold serial
-// core.Campaign run, with the warm run executing zero trials.
+// runner.Sequential run, with the warm run executing zero trials.
 func TestCacheReplayByteIdentical(t *testing.T) {
 	spec := parseTestSpec(t)
 	refDir := t.TempDir()
