@@ -130,21 +130,9 @@ func BenchmarkExtStream(b *testing.B) {
 	benchFigure(b, "ext-stream", "mem_copy_over_sum", "mem_triad_over_copy")
 }
 
-// Campaign-execution benches: the same 10k-trial membench campaign through
-// the runner's inline one-worker schedule and through its sharded one. The records
-// are identical by construction (trial-indexed engines; see DESIGN.md §6);
-// only wall-clock differs. Compare with
-//
-//	go test -bench=Campaign10k -benchtime=1x
-//
-// The design has 16 distinct points, each replicated 625 times, and the
-// engines of one membench.Factory share a kernel memo, so the campaign
-// simulates each sweep once per Factory. These benches build their Factory
-// once, outside the timed loop, so after the first op they measure the
-// runner, the per-trial noise and record path, and the memo lookup, not
-// memsim; BenchmarkStreamI7Ladder is the memsim rung and
-// BenchmarkMemColdCampaign the cold campaign rung.
-
+// campaign10k is a 10k-trial membench campaign: 16 distinct points, each
+// replicated 625 times. The engines of one membench.Factory share a kernel
+// memo, so the campaign simulates each sweep once per Factory.
 func campaign10k(tb testing.TB) (*doe.Design, core.EngineFactory) {
 	tb.Helper()
 	d, err := doe.FullFactorial(
@@ -161,6 +149,15 @@ func campaign10k(tb testing.TB) (*doe.Design, core.EngineFactory) {
 	return d, membench.Factory(membench.Config{Machine: memsim.CoreI7(), Seed: 1})
 }
 
+// BenchmarkCampaign10kSerial runs campaign10k through runner.Sequential,
+// the runner's inline one-worker schedule:
+//
+//	go test -bench=Campaign10k -benchtime=1x
+//
+// It builds its Factory once, outside the timed loop, so after the first
+// op it measures the runner, the per-trial noise and record path, and the
+// memo lookup, not memsim; BenchmarkStreamI7Ladder is the memsim rung and
+// BenchmarkMemColdCampaign the cold campaign rung.
 func BenchmarkCampaign10kSerial(b *testing.B) {
 	d, factory := campaign10k(b)
 	eng, err := factory.NewEngine()
@@ -174,21 +171,6 @@ func BenchmarkCampaign10kSerial(b *testing.B) {
 		}
 	}
 }
-
-func benchCampaignParallel(b *testing.B, workers int) {
-	d, factory := campaign10k(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(context.Background(), d, factory,
-			runner.Config{Workers: workers}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCampaign10kParallel2(b *testing.B) { benchCampaignParallel(b, 2) }
-func BenchmarkCampaign10kParallel4(b *testing.B) { benchCampaignParallel(b, 4) }
-func BenchmarkCampaign10kParallel8(b *testing.B) { benchCampaignParallel(b, 8) }
 
 // BenchmarkMemColdCampaign is the cold campaign rung: one op builds a
 // fresh membench.Factory, so its memo starts empty, and runs the
@@ -260,9 +242,10 @@ func BenchmarkStreamI7Ladder(b *testing.B) {
 // and at 4 workers. Sibling test binaries share the host's cores, so a
 // positive speedup target here would flake under contention; the test
 // instead guards the regression direction — sharding must never make a
-// campaign materially slower — and logs the measured ratio. The ≥2x
-// speedup demonstration lives in the Campaign10k benchmarks, which run
-// alone on a quiet host (`go test -bench=Campaign10k -benchtime=1x`).
+// campaign materially slower — and logs the measured ratio. The speedup
+// demonstration is BenchmarkMemColdCampaign/workers=NumCPU against
+// /workers=1, run alone on a quiet host
+// (`go test -bench=MemColdCampaign -benchtime=1x`).
 func TestParallelSpeedupAt4Workers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-trial campaign timing; skipped in -short")

@@ -30,8 +30,8 @@ func benchRecord() core.RawRecord {
 
 // BenchmarkCSVSinkEncodeRecord measures the per-record cost of the CSV
 // streaming sink. After the first record fixes the header and warms the
-// scratch buffers, the encode path must be allocation-free — CI asserts
-// 0 allocs/op on every *EncodeRecord* benchmark via cmd/bench.
+// scratch buffers, the encode path must be allocation-free; tier-1
+// asserts that with testing.AllocsPerRun in TestSinkEncodeAllocationFree.
 func BenchmarkCSVSinkEncodeRecord(b *testing.B) {
 	s := NewCSVSink(io.Discard)
 	rec := benchRecord()

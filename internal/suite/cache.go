@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"runtime/debug"
 	"strconv"
@@ -49,14 +50,28 @@ var ModuleVersion = sync.OnceValue(func() string {
 	if version != "" && version != "(devel)" && !modified {
 		return version
 	}
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			sum := sha256.Sum256(data)
-			return "devel-" + hex.EncodeToString(sum[:8])
-		}
+	if sum, err := executableDigest(); err == nil {
+		return "devel-" + hex.EncodeToString(sum[:8])
 	}
 	return "unknown"
 })
+
+// executableDigest is the SHA-256 of the running executable. It streams
+// the file through the hash, so the binary is never held in memory whole.
+func executableDigest() ([]byte, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Open(exe)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	h := sha256.New()
+	_, err = io.Copy(h, f)
+	return h.Sum(nil), err
+}
 
 // cacheKey computes a campaign's content address. config must already be
 // canonical (see engine.Canonical).

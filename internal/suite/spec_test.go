@@ -1,6 +1,10 @@
 package suite
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -167,6 +171,38 @@ func TestModuleVersionIsStableAndNonEmpty(t *testing.T) {
 	}
 	if ModuleVersion() != v {
 		t.Fatalf("module version not stable within a process")
+	}
+}
+
+// TestExecutableDigestStreams checks ModuleVersion's fallback on the test
+// binary: the streamed digest equals the hash of the whole file read at
+// once, and computing it does not hold the binary in memory. A ReadFile of
+// the executable would grow TotalAlloc by its full size (several MiB).
+func TestExecutableDigestStreams(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Skip("no executable path:", err)
+	}
+	data, err := os.ReadFile(exe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 2<<20 {
+		t.Fatalf("test binary is %d bytes; too small to tell a stream from a whole read", len(data))
+	}
+	want := sha256.Sum256(data)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sum, err := executableDigest()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sum[:8], want[:8]) {
+		t.Fatalf("digest %x, want %x", sum[:8], want[:8])
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("one digest allocated %d bytes, want < 1 MiB", grew)
 	}
 }
 
