@@ -48,6 +48,24 @@ func TestFromSpecRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// TestFromSpecHugeRanksValidatesCheaply: the rank count comes from a
+// submitted spec, and validating it must not allocate per rank — a server
+// validates every submission. 1<<50 ranks of 8-byte clocks exceed the
+// largest possible allocation, so any per-rank buffer built at validation
+// panics here instead of exhausting memory.
+func TestFromSpecHugeRanksValidatesCheaply(t *testing.T) {
+	cfg, _, err := FromSpec(Spec{Ranks: 1 << 50, N: 2, Reps: 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Ranks != 1<<50 {
+		t.Fatalf("ranks = %d", cfg.Ranks)
+	}
+	if _, err := CollectiveFactory(cfg).NewEngine(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFactoryTrialIndexed ties the spec to the netbench machinery: engines
 // built from the resolved config replay the design in reverse order
 // byte-identically to a forward pass.

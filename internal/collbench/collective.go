@@ -42,14 +42,20 @@ type CollectiveConfig struct {
 }
 
 // CollectiveEngine implements core.Engine for collective campaigns. Each
-// measurement runs on a fresh communicator (warm groups would entangle
-// consecutive measurements through their rank clocks), and every stochastic
-// input — the group's skew stream and the regime noise draw — derives from
-// (cfg.Seed, Trial.Seq) alone, so a trial's record is independent of
-// execution history: designs shard across runner workers and replay in any
-// order byte-identically to a serial run.
+// measurement runs on the engine's communicator reset to the state a fresh
+// one starts in (warm groups would entangle consecutive measurements
+// through their rank clocks), and every stochastic input — the group's
+// skew stream and the regime noise draw — derives from (cfg.Seed,
+// Trial.Seq) alone, so a trial's record is independent of execution
+// history: designs shard across runner workers and replay in any order
+// byte-identically to a serial run.
 type CollectiveEngine struct {
 	cfg CollectiveConfig
+	// g is the engine's communicator, built by the first trial and reset
+	// per trial so the hot path reuses its clocks and message queues.
+	// Building it lazily keeps validating a spec free of any per-rank
+	// allocation.
+	g *mpisim.Group
 	// noisePCG/noise are the engine-held generator reseeded per trial to
 	// the exact state a fresh per-trial stream would start in, so the hot
 	// path derives indexed noise without allocating.
@@ -101,11 +107,13 @@ func (e *CollectiveEngine) Execute(t doe.Trial) (core.RawRecord, error) {
 		return core.RawRecord{}, err
 	}
 	op := t.Point.Get(netbench.FactorOp)
-	g, err := mpisim.NewGroup(e.cfg.Profile, e.cfg.Ranks,
-		xrand.DeriveIndexed(e.cfg.Seed, "netbench/collective/grp@", t.Seq))
-	if err != nil {
-		return core.RawRecord{}, err
+	if e.g == nil {
+		if e.g, err = mpisim.NewGroup(e.cfg.Profile, e.cfg.Ranks, 0); err != nil {
+			return core.RawRecord{}, err
+		}
 	}
+	g := e.g
+	g.Reset(xrand.DeriveIndexed(e.cfg.Seed, "netbench/collective/grp@", t.Seq))
 	g.Jitter(e.cfg.SkewSec)
 
 	// An allreduce below the rank count cannot split into non-empty ring

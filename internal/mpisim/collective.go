@@ -2,6 +2,7 @@ package mpisim
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"opaquebench/internal/netsim"
 	"opaquebench/internal/xrand"
@@ -11,12 +12,21 @@ import (
 // the two-rank Comm. PMB — the opaque suite of Section II.B — measures
 // exactly such collectives; implementing them over the same regime
 // parameters lets campaigns characterize them white-box style.
+//
+// A Group is reusable: Reset returns it to the state NewGroup builds, and
+// keeps every buffer, so a collective trial on a reset group allocates
+// nothing.
 type Group struct {
 	profile *netsim.Profile
 	clocks  []float64
-	queues  map[[2]int][]message
-	noisy   bool
-	seed    uint64
+	// inbox[r] holds the in-flight messages destined to rank r, in send
+	// order. The collectives keep at most one message per inbox, so a
+	// receive scans a handful of entries, and memory and Reset stay O(n).
+	inbox [][]message
+	seed  uint64
+	// jitterPCG/jitter draw Jitter's skew; Jitter reseeds them from seed.
+	jitterPCG *rand.PCG
+	jitter    *rand.Rand
 	// bytesSent accumulates the payload bytes of every send — the modeled
 	// communication volume, which the collective algorithms' accounting
 	// tests assert against their analytic totals.
@@ -34,12 +44,27 @@ func NewGroup(profile *netsim.Profile, n int, seed uint64) (*Group, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("mpisim: group needs >= 2 ranks, got %d", n)
 	}
+	pcg := rand.NewPCG(0, 0)
 	return &Group{
-		profile: profile,
-		clocks:  make([]float64, n),
-		queues:  map[[2]int][]message{},
-		seed:    seed,
+		profile:   profile,
+		clocks:    make([]float64, n),
+		inbox:     make([][]message, n),
+		seed:      seed,
+		jitterPCG: pcg,
+		jitter:    rand.New(pcg),
 	}, nil
+}
+
+// Reset returns the group to exactly the state NewGroup(profile, n, seed)
+// builds: zero clocks, no message in flight, no bytes sent. It drops any
+// message a failed collective left queued.
+func (g *Group) Reset(seed uint64) {
+	clear(g.clocks)
+	for r := range g.inbox {
+		g.inbox[r] = g.inbox[r][:0]
+	}
+	g.seed = seed
+	g.bytesSent = 0
 }
 
 // Size returns the number of ranks.
@@ -61,17 +86,25 @@ func (g *Group) MaxClock() float64 {
 
 // send moves size bytes from -> to using the regime protocol semantics.
 func (g *Group) send(from, to, size int) error {
-	if from < 0 || from >= len(g.clocks) || to < 0 || to >= len(g.clocks) || from == to {
-		return fmt.Errorf("mpisim: bad endpoints %d -> %d", from, to)
+	if err := g.checkEndpoints(from, to); err != nil {
+		return err
 	}
 	reg := g.profile.RegimeFor(size)
 	cpu := reg.SendOverhead(size)
 	sendEnd := g.clocks[from] + cpu
 	arrive := sendEnd + reg.Latency + reg.GapPerByte*float64(size)
-	k := [2]int{from, to}
-	g.queues[k] = append(g.queues[k], message{from: Rank(from), size: size, arriveAt: arrive})
+	g.inbox[to] = append(g.inbox[to], message{from: Rank(from), size: size, arriveAt: arrive})
 	g.clocks[from] = sendEnd
 	g.bytesSent += size
+	return nil
+}
+
+// checkEndpoints rejects out-of-range and self endpoints.
+func (g *Group) checkEndpoints(from, to int) error {
+	n := len(g.clocks)
+	if from < 0 || from >= n || to < 0 || to >= n || from == to {
+		return fmt.Errorf("mpisim: bad endpoints %d -> %d", from, to)
+	}
 	return nil
 }
 
@@ -81,13 +114,19 @@ func (g *Group) TotalBytesSent() int { return g.bytesSent }
 
 // recv blocks rank `to` on the oldest message from `from`.
 func (g *Group) recv(to, from int) error {
-	k := [2]int{from, to}
-	q := g.queues[k]
-	if len(q) == 0 {
+	if err := g.checkEndpoints(from, to); err != nil {
+		return err
+	}
+	q := g.inbox[to]
+	i := 0
+	for i < len(q) && q[i].from != Rank(from) {
+		i++
+	}
+	if i == len(q) {
 		return fmt.Errorf("mpisim: rank %d has no message from %d", to, from)
 	}
-	msg := q[0]
-	g.queues[k] = q[1:]
+	msg := q[i]
+	g.inbox[to] = append(q[:i], q[i+1:]...)
 	if msg.arriveAt > g.clocks[to] {
 		g.clocks[to] = msg.arriveAt
 	}
@@ -233,8 +272,8 @@ func (g *Group) Allreduce(size, switchBytes int) (float64, error) {
 // the process skew real collectives start from. It uses the group's seed so
 // experiments stay reproducible.
 func (g *Group) Jitter(scale float64) {
-	r := xrand.NewDerived(g.seed, "mpisim/group-jitter")
+	xrand.Reseed(g.jitterPCG, xrand.Derive(g.seed, "mpisim/group-jitter"))
 	for i := range g.clocks {
-		g.clocks[i] += r.Float64() * scale
+		g.clocks[i] += g.jitter.Float64() * scale
 	}
 }

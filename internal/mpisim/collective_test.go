@@ -153,3 +153,68 @@ func TestGroupMaxClock(t *testing.T) {
 		t.Fatal("clock did not advance")
 	}
 }
+
+// TestGroupResetMatchesNewGroup runs each collective — including ones that
+// fail, and sends left partly received — on a group, resets it, and requires
+// the reset group to produce exactly what NewGroup with the same seed
+// produces: every duration, rank clock and byte count, bit for bit.
+func TestGroupResetMatchesNewGroup(t *testing.T) {
+	const n, seed = 6, 99
+	before := map[string]func(g *Group) error{
+		"bcast":         func(g *Group) error { _, err := g.Bcast(2, 5000); return err },
+		"bcast-badroot": func(g *Group) error { _, err := g.Bcast(n, 5000); return err },
+		"barrier":       func(g *Group) error { _, err := g.Barrier(); return err },
+		"ring":          func(g *Group) error { _, err := g.RingAllreduce(70000); return err },
+		"ring-tiny":     func(g *Group) error { _, err := g.RingAllreduce(n - 1); return err },
+		"tree":          func(g *Group) error { _, err := g.TreeAllreduce(100); return err },
+		"allreduce":     func(g *Group) error { _, err := g.Allreduce(20000, 16384); return err },
+		"half-received": func(g *Group) error {
+			for _, size := range []int{300, 40000, 7} {
+				if err := g.send(1, 2, size); err != nil {
+					return err
+				}
+			}
+			return g.recv(2, 1)
+		},
+	}
+	probe := func(g *Group) []float64 {
+		g.Jitter(1e-5)
+		var out []float64
+		for _, f := range []func() (float64, error){
+			func() (float64, error) { return g.Bcast(3, 12288) },
+			func() (float64, error) { return g.Allreduce(1000, 16384) },
+			func() (float64, error) { return g.Allreduce(100000, 16384) },
+			func() (float64, error) { return g.Barrier() },
+		} {
+			d, err := f()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, d)
+		}
+		for r := 0; r < g.Size(); r++ {
+			out = append(out, g.Now(r))
+		}
+		return append(out, float64(g.TotalBytesSent()), g.MaxClock())
+	}
+	fresh, err := NewGroup(netsim.Taurus(), n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := probe(fresh)
+	for name, run := range before {
+		g, err := NewGroup(netsim.Taurus(), n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Jitter(3e-6)
+		_ = run(g) // the failing cases fail on purpose
+		g.Reset(seed)
+		got := probe(g)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("after %s and Reset: probe value %d = %v, NewGroup gives %v", name, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -84,14 +84,16 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
-// RegimeFor returns the regime governing a message size.
-func (p *Profile) RegimeFor(size int) Regime {
-	for _, r := range p.Regimes {
-		if r.MaxSize == 0 || size < r.MaxSize {
+// RegimeFor returns the regime governing a message size. It points into
+// p.Regimes, so a per-message lookup copies nothing; callers must not
+// modify the regime through it.
+func (p *Profile) RegimeFor(size int) *Regime {
+	for i := range p.Regimes {
+		if r := &p.Regimes[i]; r.MaxSize == 0 || size < r.MaxSize {
 			return r
 		}
 	}
-	return p.Regimes[len(p.Regimes)-1]
+	return &p.Regimes[len(p.Regimes)-1]
 }
 
 // Breakpoints returns the regime boundaries (the ground truth the white-box

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // The log is a flat sequence of self-checking frames after an 8-byte file
@@ -80,13 +81,21 @@ func appendFrame(dst []byte, typ byte, meta, body []byte) []byte {
 	return append(dst, sum[:]...)
 }
 
-// encodeFrame encodes one frame with a JSON-marshaled metadata record.
-func encodeFrame(typ byte, metaRec any, body []byte) ([]byte, error) {
+// encodeFrame encodes one frame with a JSON-marshaled metadata record. It
+// also returns the frame's index entry at offset 0, built from the lengths
+// it wrote: the frameInfo decodeFrame would parse back, without hashing
+// the frame a second time. A frame decodeFrame would reject for its
+// lengths is an error here instead.
+func encodeFrame(typ byte, metaRec any, body []byte) ([]byte, frameInfo, error) {
 	meta, err := json.Marshal(metaRec)
 	if err != nil {
-		return nil, fmt.Errorf("store: encode frame meta: %w", err)
+		return nil, frameInfo{}, fmt.Errorf("store: encode frame meta: %w", err)
 	}
-	return appendFrame(nil, typ, meta, body), nil
+	if len(meta) > maxMetaLen || uint64(len(body)) > math.MaxUint32 {
+		return nil, frameInfo{}, fmt.Errorf("store: frame too large (%d meta bytes, %d body bytes)", len(meta), len(body))
+	}
+	info := frameInfo{typ: typ, metaLen: uint32(len(meta)), bodyLen: uint32(len(body))}
+	return appendFrame(nil, typ, meta, body), info, nil
 }
 
 // frameInfo describes one decoded frame's position inside the log.

@@ -169,7 +169,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			metaRec = &tombRecord{Key: key}
 			body = nil // tombstones carry no payload
 		}
-		frame, err := encodeFrame(typ, metaRec, body)
+		frame, encInfo, err := encodeFrame(typ, metaRec, body)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
@@ -177,6 +177,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		info, ok := decodeFrame(frame, 0)
 		if !ok {
 			t.Fatalf("freshly encoded frame does not decode (typ %c, key %q, %d body bytes)", typ, key, len(body))
+		}
+		if info != encInfo {
+			t.Fatalf("encodeFrame's index entry %+v, decodeFrame's %+v", encInfo, info)
 		}
 		if info.typ != typ || int(info.bodyLen) != len(body) || info.end() != int64(len(frame)) {
 			t.Fatalf("decode mismatch: %+v vs typ %c body %d len %d", info, typ, len(body), len(frame))

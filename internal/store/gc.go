@@ -33,7 +33,7 @@ func (s *Store) Pin(run string, keys ...string) error {
 		sorted = append(sorted, k)
 	}
 	sort.Strings(sorted)
-	frame, err := encodeFrame(framePin, &pinRecord{Run: run, Keys: sorted}, nil)
+	frame, _, err := encodeFrame(framePin, &pinRecord{Run: run, Keys: sorted}, nil)
 	if err != nil {
 		return err
 	}
@@ -55,7 +55,7 @@ func (s *Store) Unpin(run string) error {
 	if err := s.usable(); err != nil {
 		return err
 	}
-	frame, err := encodeFrame(frameUnpin, &pinRecord{Run: run}, nil)
+	frame, _, err := encodeFrame(frameUnpin, &pinRecord{Run: run}, nil)
 	if err != nil {
 		return err
 	}
@@ -147,7 +147,7 @@ func (s *Store) GC() ([]string, error) {
 	}
 	sort.Strings(dead)
 	for _, key := range dead {
-		frame, err := encodeFrame(frameTombstone, &tombRecord{Key: key}, nil)
+		frame, _, err := encodeFrame(frameTombstone, &tombRecord{Key: key}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +208,7 @@ func (s *Store) Compact() error {
 		newRefs[key] = entryRef{info: info, meta: ref.meta}
 	}
 	for _, run := range s.pinSeq {
-		frame, err := encodeFrame(framePin, &pinRecord{Run: run, Keys: s.pins[run]}, nil)
+		frame, _, err := encodeFrame(framePin, &pinRecord{Run: run, Keys: s.pins[run]}, nil)
 		if err != nil {
 			return fail(err)
 		}

@@ -394,19 +394,13 @@ func (s *Store) Put(key string, payload []byte, m Meta) error {
 	m.Key = key
 	m.StoredAt = s.now().UTC()
 	m.Size = int64(len(payload))
-	frame, err := encodeFrame(frameEntry, &m, payload)
+	frame, info, err := encodeFrame(frameEntry, &m, payload)
 	if err != nil {
 		return err
 	}
-	off, err := s.append(frame)
-	if err != nil {
+	if info.off, err = s.append(frame); err != nil {
 		return err
 	}
-	info, ok := decodeFrame(frame, 0)
-	if !ok {
-		return errors.New("store: internal: encoded frame does not verify")
-	}
-	info.off = off
 	s.setEntry(key, entryRef{info: info, meta: m})
 	return nil
 }

@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"opaquebench/internal/xrand"
 )
 
 // fixedClock returns a deterministic strictly increasing clock starting at
@@ -296,5 +299,77 @@ func TestVerifyDetectsBitRot(t *testing.T) {
 	}
 	if rotted == 0 {
 		t.Error("no Get reported the rot (flip may have hit a checksum byte of a frame that still fails — expected at least one error)")
+	}
+}
+
+// TestEncodeFrameInfoMatchesDecode is the property Put relies on instead
+// of re-hashing each frame it appends: for random entry metas and payloads,
+// and for pin, unpin and tombstone frames, the index entry encodeFrame
+// builds from its lengths is exactly what decodeFrame parses and verifies.
+// Metadata past maxMetaLen, which decodeFrame rejects, must fail to encode.
+func TestEncodeFrameInfoMatchesDecode(t *testing.T) {
+	r := xrand.New(16)
+	str := func(max int) string {
+		b := make([]byte, r.IntN(max+1))
+		for i := range b {
+			b[i] = byte(r.IntN(256))
+		}
+		return string(b) // arbitrary bytes: JSON escapes or replaces them
+	}
+	for i := 0; i < 500; i++ {
+		body := []byte(str(4096))
+		env := map[string]string{}
+		for j := r.IntN(5); j > 0; j-- {
+			env[str(12)] = str(40)
+		}
+		recs := []struct {
+			typ  byte
+			meta any
+			body []byte
+		}{
+			{frameEntry, &Meta{Key: str(64), Suite: str(20), Campaign: str(20), Engine: str(10),
+				Seed: r.Uint64(), Env: env, Size: int64(len(body)),
+				RanAt: time.Unix(r.Int64N(1<<33), r.Int64N(1e9)).UTC()}, body},
+			{framePin, &pinRecord{Run: str(16), Keys: []string{str(64), str(64)}}, nil},
+			{frameUnpin, &pinRecord{Run: str(16)}, nil},
+			{frameTombstone, &tombRecord{Key: str(64)}, nil},
+		}
+		for _, rec := range recs {
+			frame, info, err := encodeFrame(rec.typ, rec.meta, rec.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok := decodeFrame(frame, 0)
+			if !ok || got != info {
+				t.Fatalf("case %d type %c: encodeFrame's index entry %+v, decodeFrame's %+v (ok %v)", i, rec.typ, info, got, ok)
+			}
+		}
+	}
+	if _, _, err := encodeFrame(frameTombstone, &tombRecord{Key: strings.Repeat("k", maxMetaLen)}, nil); err == nil {
+		t.Fatal("oversized metadata encoded")
+	}
+}
+
+// TestPutRejectsOversizedMetaWithoutWriting: an entry whose metadata
+// exceeds maxMetaLen fails before anything reaches the log. Appended, its
+// frame would fail decoding when the log is next scanned and end the
+// recovered prefix there, losing every later entry.
+func TestPutRejectsOversizedMetaWithoutWriting(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "r.store")
+	s := openTest(t, path)
+	key, payload, m := testEntry(0)
+	m.Env = map[string]string{"blob": strings.Repeat("x", maxMetaLen)}
+	if err := s.Put(key, payload, m); err == nil {
+		t.Fatal("oversized metadata accepted")
+	}
+	key, payload, m = testEntry(1)
+	if err := s.Put(key, payload, m); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	os.Remove(path + ".idx") // no index: reopen scans the log
+	s = openTest(t, path)
+	if got, err := s.Get(key); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("entry after the rejected one lost on reopen: %q, %v", got, err)
 	}
 }
