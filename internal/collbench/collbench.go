@@ -40,7 +40,7 @@ func defaultOps() []string { return []string{OpBcast, OpAllreduce} }
 type Spec struct {
 	// Profile names the simulated network (default "taurus").
 	Profile string `json:"profile,omitempty"`
-	// Ranks is the communicator size (default 8).
+	// Ranks is the communicator size (default 8, at most 65536).
 	Ranks int `json:"ranks,omitempty"`
 	// N is the number of log-uniform message sizes (default 100).
 	N int `json:"n,omitempty"`

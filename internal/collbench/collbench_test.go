@@ -2,11 +2,13 @@ package collbench
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"opaquebench/internal/core"
 	"opaquebench/internal/doe"
 	"opaquebench/internal/netbench"
+	"opaquebench/internal/netsim"
 )
 
 func TestFromSpecDefaults(t *testing.T) {
@@ -50,19 +52,38 @@ func TestFromSpecRejectsBadInputs(t *testing.T) {
 
 // TestFromSpecHugeRanksValidatesCheaply: the rank count comes from a
 // submitted spec, and validating it must not allocate per rank — a server
-// validates every submission. 1<<50 ranks of 8-byte clocks exceed the
-// largest possible allocation, so any per-rank buffer built at validation
-// panics here instead of exhausting memory.
+// validates every submission. A count past maxRanks is refused, 1<<50
+// included, whose per-rank buffers exceed the largest possible allocation;
+// and validating maxRanks itself allocates far less than one 8-byte clock
+// per rank.
 func TestFromSpecHugeRanksValidatesCheaply(t *testing.T) {
-	cfg, _, err := FromSpec(Spec{Ranks: 1 << 50, N: 2, Reps: 1}, 1)
-	if err != nil {
-		t.Fatal(err)
+	for _, ranks := range []int{maxRanks + 1, 1 << 50} {
+		if _, _, err := FromSpec(Spec{Ranks: ranks, N: 2, Reps: 1}, 1); err == nil {
+			t.Fatalf("FromSpec accepted %d ranks", ranks)
+		}
+		if _, err := NewCollectiveEngine(CollectiveConfig{Profile: netsim.Taurus(), Ranks: ranks}); err == nil {
+			t.Fatalf("NewCollectiveEngine accepted %d ranks", ranks)
+		}
 	}
-	if cfg.Ranks != 1<<50 {
-		t.Fatalf("ranks = %d", cfg.Ranks)
+	validate := func(ranks int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cfg, _, err := FromSpec(Spec{Ranks: ranks, N: 2, Reps: 1}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Ranks != ranks {
+			t.Fatalf("ranks = %d, want %d", cfg.Ranks, ranks)
+		}
+		if _, err := CollectiveFactory(cfg).NewEngine(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	if _, err := CollectiveFactory(cfg).NewEngine(); err != nil {
-		t.Fatal(err)
+	small, huge := validate(8), validate(maxRanks)
+	if huge > small+maxRanks {
+		t.Fatalf("validating %d ranks allocated %d bytes, against %d at 8 ranks", maxRanks, huge, small)
 	}
 }
 

@@ -24,11 +24,17 @@ const (
 	OpBarrier   = "barrier"
 )
 
+// maxRanks bounds a communicator's size. The rank count comes from
+// submitted specs, and a group keeps per-rank state, so an unbounded count
+// would let a spec size an allocation that fails (or exhausts memory) at
+// the first trial instead of being refused at validation.
+const maxRanks = 1 << 16
+
 // CollectiveConfig describes a collective campaign's fixed environment.
 type CollectiveConfig struct {
 	// Profile is the simulated network. Required.
 	Profile *netsim.Profile
-	// Ranks is the communicator size (default 8).
+	// Ranks is the communicator size (default 8, at most 65536).
 	Ranks int
 	// Seed drives the noise stream.
 	Seed uint64
@@ -78,8 +84,8 @@ func NewCollectiveEngine(cfg CollectiveConfig) (*CollectiveEngine, error) {
 	if cfg.Ranks == 0 {
 		cfg.Ranks = 8
 	}
-	if cfg.Ranks < 2 {
-		return nil, fmt.Errorf("netbench: collectives need >= 2 ranks, got %d", cfg.Ranks)
+	if cfg.Ranks < 2 || cfg.Ranks > maxRanks {
+		return nil, fmt.Errorf("netbench: collectives need 2 to %d ranks, got %d", maxRanks, cfg.Ranks)
 	}
 	if cfg.SkewSec <= 0 {
 		cfg.SkewSec = 2e-6

@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"opaquebench/internal/core"
@@ -35,9 +36,12 @@ type Config struct {
 	// prefix of the campaign extends over it. Sinks are driven from a
 	// single goroutine; they need not be safe for concurrent use.
 	Sinks []RecordSink
-	// Progress, when non-nil, is called after each trial completes (in
-	// completion order, from a single goroutine) with the number of
-	// completed trials and the design size.
+	// Progress, when non-nil, is called once per completed trial, from a
+	// single goroutine, with the number of completed trials and the design
+	// size. One worker reports each trial as it finishes. More workers run
+	// blocks of consecutive trials (see runSharded), and a block's calls
+	// arrive together when the collector receives the block, so progress
+	// advances at block granularity, in block completion order.
 	//
 	// The callback runs while the campaign's ordering state is held: until
 	// it returns, no further record reaches the sinks, and once the
@@ -184,71 +188,204 @@ func runInline(ctx context.Context, design *doe.Design, engines []core.Engine, c
 // runSharded is the multi-worker schedule: one goroutine per engine, the
 // records reassembled into design order by a collector on the calling
 // goroutine. It returns the number of records the sinks received in full.
+//
+// The design is cut into blocks of blockSize consecutive trials, and worker
+// w runs blocks w, w+W, w+2W, ... A worker stores each record at its design
+// position and encodes it for every sink that can encode off the collector
+// (see blockSink), then hands the finished block over in one message; the
+// channel send/receive pair orders the record and byte writes before the
+// collector's reads. The collector writes blocks in design order, so per
+// trial it only copies bytes.
+//
+// The assignment is static on purpose. Trial-indexed engines make it
+// immaterial for the records, but a history-dependent engine is not, and a
+// dynamic queue would let one fast worker take every trial, so the sharded
+// output would match the serial one by accident and the engine contract's
+// parallel-determinism check could not catch the engine.
 func runSharded(ctx context.Context, design *doe.Design, engines []core.Engine, cfg Config, records []core.RawRecord) (int, error) {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
-	// Workers own disjoint stride classes of the design, so each worker
-	// stores its finished records directly at their design position and
-	// only the trial's seq crosses the channel. The channel send/receive
-	// pair orders the record write before the collector's read.
 	n, workers := len(records), len(engines)
-	doneSeqs := make(chan int, workers)
+	size := blockSize(n, workers)
+	// One slot per worker: a worker that finishes a block while the
+	// collector is busy writing moves on to its next block.
+	finished := make(chan *block, workers)
+	pool := &blockPool{}
 	var wg sync.WaitGroup
-	// Workers shard the design by striding: worker w runs trials w, w+W,
-	// w+2W, ... Trial-indexed engines make the assignment immaterial for
-	// the records; striding keeps workers in rough lockstep so the
-	// collector's reorder window stays small.
 	for w, eng := range engines {
+		encs := make([]recordEncoder, len(cfg.Sinks))
+		for i, s := range cfg.Sinks {
+			if bs, ok := s.(blockSink); ok {
+				encs[i] = bs.newEncoder()
+			}
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := w; i < n; i += workers {
-				if ctx.Err() != nil {
+			for lo := w * size; lo < n; lo += workers * size {
+				end := min(lo+size, n)
+				blk := pool.get(lo, end-lo, encs)
+				for i := lo; i < end && ctx.Err() == nil; i++ {
+					rec, err := execute(eng, design.Trials[i])
+					if err != nil {
+						cancel(err)
+						break
+					}
+					records[i] = rec
+					blk.add(rec)
+				}
+				// A plain send, even of a block cut short: the collector
+				// drains finished until it closes, so a record finished as
+				// the run is canceled still reaches the ordered prefix
+				// instead of being dropped. Once sent, the block is the
+				// collector's.
+				hi := blk.hi
+				if hi > lo {
+					finished <- blk
+				}
+				if hi < end {
 					return
 				}
-				rec, err := execute(eng, design.Trials[i])
-				if err != nil {
-					cancel(err)
-					return
-				}
-				records[i] = rec
-				// A plain send: the collector drains doneSeqs until it
-				// closes, so a record finished as the run is canceled still
-				// reaches the ordered prefix instead of being dropped.
-				doneSeqs <- i
 			}
 		}()
 	}
 	go func() {
 		wg.Wait()
-		close(doneSeqs)
+		close(finished)
 	}()
 
-	// Collect: records already sit at their design position; sinks and the
-	// progress callback observe the ordered prefix as it extends.
-	filled := make([]bool, n)
+	// Collect: records already sit at their design position; the progress
+	// callback sees every trial of a block as it arrives, and the sinks see
+	// the ordered prefix extend block by block. A block cut short ends the
+	// prefix, since the trials after it never ran: it leaves next inside
+	// its own slot, which stays empty.
+	pending := make([]*block, (n+size-1)/size)
 	next, done := 0, 0
 	var sinkErr error
-	for seq := range doneSeqs {
-		filled[seq] = true
-		done++
-		if cfg.Progress != nil {
-			cfg.Progress(done, n)
+	for blk := range finished {
+		for range blk.hi - blk.lo {
+			done++
+			if cfg.Progress != nil {
+				cfg.Progress(done, n)
+			}
 		}
-		if sinkErr != nil {
-			continue
-		}
-		for next < n && filled[next] {
-			if err := writeSinks(cfg.Sinks, records[next]); err != nil {
-				sinkErr = err
-				cancel(fmt.Errorf("runner: sink: %w", err))
+		pending[blk.lo/size] = blk
+		for sinkErr == nil && next < n {
+			head := pending[next/size]
+			if head == nil {
 				break
 			}
-			next++
+			pending[next/size] = nil
+			next, sinkErr = head.write(cfg.Sinks, records)
+			pool.put(head)
+			if sinkErr != nil {
+				cancel(fmt.Errorf("runner: sink: %w", sinkErr))
+			}
 		}
 	}
 	return next, context.Cause(ctx)
+}
+
+// blockSize is the number of consecutive trials in one block of the sharded
+// schedule, a pure function of the design size and the worker count: about
+// eight blocks per worker, so the blocks still balance the load, of at most
+// 64 trials, so the collector's reorder window stays small. Below 16 trials
+// per worker it is 1, and the schedule is a plain stride — the layout that
+// slow campaigns, whose per-trial handoff costs nothing beside the trial,
+// have always had.
+func blockSize(n, workers int) int {
+	return max(1, min(64, n/(8*workers)))
+}
+
+// block is one worker's run of consecutive trials [lo, hi) in flight to the
+// collector, with the bytes its encoders wrote for them: for each record in
+// order, one span of buf per encoder, delimited by ends. An empty span
+// marks a record its encoder could not encode exactly.
+type block struct {
+	lo, hi int
+	trials int             // the trials the block is to hold
+	encs   []recordEncoder // the worker's encoders, one per sink; nil for a sink that encodes on the collector
+	buf    []byte
+	ends   []int
+}
+
+// add appends one finished record, the next of the block, and its
+// encodings. The first record's size sizes buf for the whole block, with a
+// quarter to spare, so a fresh block grows once instead of doubling its
+// way up.
+func (b *block) add(rec core.RawRecord) {
+	for _, enc := range b.encs {
+		if enc != nil {
+			b.buf = enc.encode(b.buf, rec)
+			b.ends = append(b.ends, len(b.buf))
+		}
+	}
+	if b.hi == b.lo {
+		b.buf = slices.Grow(b.buf, len(b.buf)*(b.trials-1)*5/4)
+	}
+	b.hi++
+}
+
+// write hands the block's records to the sinks in design order — record by
+// record, each to every sink in turn, as writeSinks would — using the
+// pre-encoded bytes where there are any. It returns the end of the prefix
+// the sinks received in full: hi, or the position of the record a sink
+// refused.
+func (b *block) write(sinks []RecordSink, records []core.RawRecord) (int, error) {
+	start, span := 0, 0
+	for i := b.lo; i < b.hi; i++ {
+		for j, s := range sinks {
+			var err error
+			if enc := b.encs[j]; enc != nil {
+				end := b.ends[span]
+				err = enc.write(records[i], b.buf[start:end])
+				start, span = end, span+1
+			} else {
+				err = s.Write(records[i])
+			}
+			if err != nil {
+				return i, err
+			}
+		}
+	}
+	return b.hi, nil
+}
+
+// blockPool is a run's free list of blocks: workers take one per block,
+// and the collector returns it once written. It lives as long as the run,
+// so after the first few blocks every block reuses grown buffers and the
+// per-record path allocates nothing. (A sync.Pool would not do: every GC
+// empties it.)
+type blockPool struct {
+	mu   sync.Mutex
+	free []*block
+}
+
+// get returns an empty block for the trials [lo, lo+trials) of a worker
+// with encoders encs.
+func (p *blockPool) get(lo, trials int, encs []recordEncoder) *block {
+	p.mu.Lock()
+	var b *block
+	if k := len(p.free); k > 0 {
+		b, p.free = p.free[k-1], p.free[:k-1]
+	}
+	p.mu.Unlock()
+	if b == nil {
+		// Room for a first record of a typical size; add then sizes the
+		// buffer for the whole block.
+		b = &block{buf: make([]byte, 0, 512)}
+	}
+	b.lo, b.hi, b.trials, b.encs = lo, lo, trials, encs
+	b.buf, b.ends = b.buf[:0], slices.Grow(b.ends[:0], trials*len(encs))
+	return b
+}
+
+// put returns a written block to the free list.
+func (p *blockPool) put(b *block) {
+	p.mu.Lock()
+	p.free = append(p.free, b)
+	p.mu.Unlock()
 }
 
 func writeSinks(sinks []RecordSink, rec core.RawRecord) error {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"unicode/utf8"
@@ -39,6 +40,30 @@ type RecordSink interface {
 // syscall granularity as before the hand-rolled encoders.
 const sinkBufBytes = 4096
 
+// blockSink is implemented by the sinks whose encoding can run on the
+// worker that ran a trial instead of on the collector: CSVSink and
+// JSONLSink. The sharded runner gives each worker one encoder per such
+// sink; other sinks take every record through Write on the collector.
+type blockSink interface {
+	RecordSink
+	newEncoder() recordEncoder
+}
+
+// recordEncoder encodes records for one sink on one worker, and hands them
+// to the sink on the collector. encode runs on the worker, write on the
+// collector, after the block holding the bytes crossed the channel.
+type recordEncoder interface {
+	// encode appends rec's bytes exactly as the sink's Write would write
+	// them. When it cannot vouch for that, it returns dst unchanged (every
+	// encoding is non-empty, ending in a newline).
+	encode(dst []byte, rec core.RawRecord) []byte
+	// write hands rec to the sink as Write(rec) would, in design order: p
+	// is what encode appended for rec, and an empty p sends rec through
+	// Write itself, so every validation error and latch stays at its
+	// position in the stream.
+	write(rec core.RawRecord, p []byte) error
+}
+
 // CSVSink streams records as CSV, row by row, producing byte-identical
 // output to core.Results.WriteCSV for campaigns whose records share one
 // factor and extra key set (as engine-generated records do). The header is
@@ -46,17 +71,53 @@ const sinkBufBytes = 4096
 // columns only.
 //
 // Rows are encoded with core.AppendCSVRow into a buffer owned by the sink,
-// so the per-record path allocates nothing once the buffer has grown to the
-// campaign's row size.
+// or by the worker that ran the trial (see blockSink), so the per-record
+// path allocates nothing once the buffer has grown to the campaign's row
+// size.
 type CSVSink struct {
 	bw      *bufio.Writer
 	row     []byte
-	factors []string
-	extras  []string
-	knownF  map[string]bool
-	knownX  map[string]bool
+	cols    *csvColumns
+	same    *csvColumns // a worker encoder's column set last found equal to cols
 	started bool
 	err     error
+}
+
+// csvColumns is a CSV stream's column set, derived from one record: its
+// sorted factor and extra keys.
+type csvColumns struct {
+	factors, extras []string
+	knownF, knownX  map[string]bool
+}
+
+func newCSVColumns(rec core.RawRecord) *csvColumns {
+	c := &csvColumns{factors: sortedKeys(rec.Point), extras: sortedKeys(rec.Extra)}
+	c.knownF = make(map[string]bool, len(c.factors))
+	c.knownX = make(map[string]bool, len(c.extras))
+	for _, f := range c.factors {
+		c.knownF[f] = true
+	}
+	for _, e := range c.extras {
+		c.knownX[e] = true
+	}
+	return c
+}
+
+// check rejects a record carrying a factor or extra key outside the column
+// set. (Keys *missing* from a record are fine; they serialize as empty
+// cells, as Results.WriteCSV does.)
+func (c *csvColumns) check(rec core.RawRecord) error {
+	for k := range rec.Point {
+		if !c.knownF[k] {
+			return fmt.Errorf("runner: record %d carries factor %q absent from the CSV header; use a JSONL sink for heterogeneous records", rec.Seq, k)
+		}
+	}
+	for k := range rec.Extra {
+		if !c.knownX[k] {
+			return fmt.Errorf("runner: record %d carries extra %q absent from the CSV header; use a JSONL sink for heterogeneous records", rec.Seq, k)
+		}
+	}
+	return nil
 }
 
 // NewCSVSink returns a sink writing to w.
@@ -67,23 +128,13 @@ func NewCSVSink(w io.Writer) *CSVSink {
 // Write implements RecordSink. A record carrying a factor or extra key
 // absent from the first record's column set is an error: a streamed header
 // cannot grow, and silently dropping the column would lose raw data — the
-// one thing the methodology forbids. (Keys *missing* from a record are
-// fine; they serialize as empty cells, as Results.WriteCSV does.)
+// one thing the methodology forbids.
 func (s *CSVSink) Write(rec core.RawRecord) error {
 	if s.err != nil {
 		return s.err
 	}
 	if !s.started {
-		s.factors = sortedKeys(rec.Point)
-		s.extras = sortedKeys(rec.Extra)
-		s.knownF = make(map[string]bool, len(s.factors))
-		s.knownX = make(map[string]bool, len(s.extras))
-		for _, f := range s.factors {
-			s.knownF[f] = true
-		}
-		for _, e := range s.extras {
-			s.knownX[e] = true
-		}
+		s.cols = newCSVColumns(rec)
 		if err := s.writeHeader(); err != nil {
 			return err
 		}
@@ -91,18 +142,16 @@ func (s *CSVSink) Write(rec core.RawRecord) error {
 	// Validation rejections are NOT latched: they write zero bytes, so the
 	// sink stays healthy and a later Flush still delivers the valid
 	// buffered prefix — the error-path guarantee of DESIGN.md section 8.
-	for k := range rec.Point {
-		if !s.knownF[k] {
-			return fmt.Errorf("runner: record %d carries factor %q absent from the CSV header; use a JSONL sink for heterogeneous records", rec.Seq, k)
-		}
+	if err := s.cols.check(rec); err != nil {
+		return err
 	}
-	for k := range rec.Extra {
-		if !s.knownX[k] {
-			return fmt.Errorf("runner: record %d carries extra %q absent from the CSV header; use a JSONL sink for heterogeneous records", rec.Seq, k)
-		}
-	}
-	s.row = core.AppendCSVRow(s.row[:0], rec, s.factors, s.extras)
-	if _, err := s.bw.Write(s.row); err != nil {
+	s.row = core.AppendCSVRow(s.row[:0], rec, s.cols.factors, s.cols.extras)
+	return s.writeRow(s.row)
+}
+
+// writeRow writes one encoded row, latching a failed write.
+func (s *CSVSink) writeRow(row []byte) error {
+	if _, err := s.bw.Write(row); err != nil {
 		return s.latch(fmt.Errorf("runner: write csv row: %w", err))
 	}
 	return nil
@@ -118,7 +167,11 @@ func (s *CSVSink) latch(err error) error {
 }
 
 func (s *CSVSink) writeHeader() error {
-	header, err := core.CSVHeader(s.factors, s.extras)
+	var factors, extras []string
+	if s.cols != nil {
+		factors, extras = s.cols.factors, s.cols.extras
+	}
+	header, err := core.CSVHeader(factors, extras)
 	if err != nil {
 		// A reserved factor name is a validation rejection, not an I/O
 		// failure: nothing was written, so the sink is not latched, but
@@ -151,21 +204,68 @@ func (s *CSVSink) Flush() error {
 	return nil
 }
 
+func (s *CSVSink) newEncoder() recordEncoder { return &csvEncoder{s: s} }
+
+// csvEncoder encodes rows on a worker against the column set of the
+// worker's first record. A row is exact when its record passes that column
+// set's check and the set equals the sink's frozen header, which the
+// collector confirms before it writes the row.
+type csvEncoder struct {
+	s    *CSVSink
+	cols *csvColumns // set on the first encode and never changed after
+}
+
+func (e *csvEncoder) encode(dst []byte, rec core.RawRecord) []byte {
+	if e.cols == nil {
+		e.cols = newCSVColumns(rec)
+	}
+	if e.cols.check(rec) != nil {
+		return dst
+	}
+	return core.AppendCSVRow(dst, rec, e.cols.factors, e.cols.extras)
+}
+
+func (e *csvEncoder) write(rec core.RawRecord, p []byte) error {
+	s := e.s
+	if s.err != nil {
+		return s.err
+	}
+	if len(p) == 0 || !s.started || !s.sameColumns(e.cols) {
+		return s.Write(rec)
+	}
+	return s.writeRow(p)
+}
+
+// sameColumns reports whether a worker encoder's column set equals the
+// sink's frozen header. Column sets never change once built, so a match is
+// remembered and the check costs one comparison per record after the
+// first of a block.
+func (s *CSVSink) sameColumns(c *csvColumns) bool {
+	if c == s.same {
+		return true
+	}
+	if !slices.Equal(c.factors, s.cols.factors) || !slices.Equal(c.extras, s.cols.extras) {
+		return false
+	}
+	s.same = c
+	return true
+}
+
 // JSONLSink streams records as JSON Lines: one self-describing object per
 // record, so heterogeneous factor sets and late schema growth need no
 // header coordination.
 //
 // The fixed schema — seq, rep, value, seconds, at, then optional point and
 // extra objects with sorted keys — is encoded by hand into a buffer owned
-// by the sink, byte-identical to encoding/json's output for the same
-// record, and written through a bufio.Writer so a million-trial campaign
-// batches its records into page-sized writes instead of one syscall per
-// record.
+// by the sink (or by the worker that ran the trial, see blockSink),
+// byte-identical to encoding/json's output for the same record, and
+// written through a bufio.Writer so a million-trial campaign batches its
+// records into page-sized writes instead of one syscall per record.
 type JSONLSink struct {
-	bw   *bufio.Writer
-	buf  []byte
-	keys []string
-	err  error
+	bw  *bufio.Writer
+	buf []byte
+	jsonlKeys
+	err error
 }
 
 // NewJSONLSink returns a sink writing to w.
@@ -190,15 +290,54 @@ func (s *JSONLSink) Write(rec core.RawRecord) error {
 		return s.err
 	}
 	s.buf = buf
-	if _, err := s.bw.Write(s.buf); err != nil {
+	return s.writeLine(s.buf)
+}
+
+// writeLine writes one encoded line, latching a failed write.
+func (s *JSONLSink) writeLine(line []byte) error {
+	if _, err := s.bw.Write(line); err != nil {
 		s.err = fmt.Errorf("runner: write jsonl: %w", err)
 		return s.err
 	}
 	return nil
 }
 
+func (s *JSONLSink) newEncoder() recordEncoder { return &jsonlEncoder{s: s} }
+
+// jsonlEncoder encodes lines on a worker. A record with a non-finite value
+// is left to the sink's Write, which latches its error in stream order.
+type jsonlEncoder struct {
+	s *JSONLSink
+	jsonlKeys
+}
+
+func (e *jsonlEncoder) encode(dst []byte, rec core.RawRecord) []byte {
+	out, err := e.appendRecord(dst, rec)
+	if err != nil {
+		return dst
+	}
+	return out
+}
+
+func (e *jsonlEncoder) write(rec core.RawRecord, p []byte) error {
+	s := e.s
+	if s.err != nil {
+		return s.err
+	}
+	if len(p) == 0 {
+		return s.Write(rec)
+	}
+	return s.writeLine(p)
+}
+
+// jsonlKeys is the JSONL encoder's scratch: the sorted keys of the point
+// or extra map being encoded.
+type jsonlKeys struct {
+	keys []string
+}
+
 // appendRecord encodes one record in the fixed JSONL schema.
-func (s *JSONLSink) appendRecord(dst []byte, rec core.RawRecord) ([]byte, error) {
+func (s *jsonlKeys) appendRecord(dst []byte, rec core.RawRecord) ([]byte, error) {
 	var err error
 	dst = append(dst, `{"seq":`...)
 	dst = strconv.AppendInt(dst, int64(rec.Seq), 10)

@@ -66,8 +66,11 @@ func BenchmarkJSONLSinkEncodeRecord(b *testing.B) {
 
 // TestSinkEncodeAllocationFree pins the tentpole invariant directly: once a
 // sink's header and scratch buffers are warm, writing a record performs no
-// heap allocations. AllocsPerRun catches regressions even when the CI
-// benchmark job is skipped.
+// heap allocations — through the sink's own Write, and on the sharded
+// runner's path, where a worker encodes a block of records into a block
+// from the run's free list and the collector writes the block to the
+// sinks. AllocsPerRun catches regressions even when the CI benchmark job
+// is skipped.
 func TestSinkEncodeAllocationFree(t *testing.T) {
 	rec := benchRecord()
 	sinks := map[string]RecordSink{
@@ -87,4 +90,48 @@ func TestSinkEncodeAllocationFree(t *testing.T) {
 			t.Errorf("%s sink: %v allocs per record, want 0", name, allocs)
 		}
 	}
+
+	// The block path: two encoding sinks beside one that takes records on
+	// the collector, a block of 64 records, two workers' encoders taking
+	// turns as in a sharded run.
+	blockSinks := []RecordSink{NewCSVSink(io.Discard), NewJSONLSink(io.Discard), &countSink{}}
+	workerEncs := make([][]recordEncoder, 2)
+	for w := range workerEncs {
+		workerEncs[w] = make([]recordEncoder, len(blockSinks))
+		for i, s := range blockSinks {
+			if bs, ok := s.(blockSink); ok {
+				workerEncs[w][i] = bs.newEncoder()
+			}
+		}
+	}
+	records := make([]core.RawRecord, 64)
+	for i := range records {
+		records[i] = rec
+	}
+	pool := &blockPool{}
+	runBlock := func(w int) {
+		blk := pool.get(0, len(records), workerEncs[w])
+		for _, r := range records {
+			blk.add(r)
+		}
+		if next, err := blk.write(blockSinks, records); err != nil || next != len(records) {
+			t.Fatalf("block write: %d records, %v", next, err)
+		}
+		pool.put(blk)
+	}
+	runBlock(0)
+	runBlock(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		runBlock(0)
+		runBlock(1)
+	})
+	if allocs != 0 {
+		t.Errorf("block path: %v allocs per two blocks, want 0", allocs)
+	}
 }
+
+// countSink is a RecordSink without a worker-side encoder.
+type countSink struct{ n int }
+
+func (s *countSink) Write(core.RawRecord) error { s.n++; return nil }
+func (s *countSink) Flush() error               { return nil }

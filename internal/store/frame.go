@@ -68,34 +68,37 @@ type tombRecord struct {
 	Key string `json:"key"`
 }
 
-// appendFrame encodes one frame onto dst and returns the extended slice.
-func appendFrame(dst []byte, typ byte, meta, body []byte) []byte {
-	start := len(dst)
-	dst = append(dst, frameMagic[:]...)
-	dst = append(dst, typ)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(meta)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	dst = append(dst, meta...)
-	dst = append(dst, body...)
-	sum := sha256.Sum256(dst[start:])
-	return append(dst, sum[:]...)
-}
-
-// encodeFrame encodes one frame with a JSON-marshaled metadata record. It
+// encodeFrame encodes one frame with a JSON-marshaled metadata record and
+// a body given as parts, concatenated in order, into one buffer of exactly
+// the frame's size: the parts are copied once, straight into the frame. It
 // also returns the frame's index entry at offset 0, built from the lengths
 // it wrote: the frameInfo decodeFrame would parse back, without hashing
 // the frame a second time. A frame decodeFrame would reject for its
 // lengths is an error here instead.
-func encodeFrame(typ byte, metaRec any, body []byte) ([]byte, frameInfo, error) {
+func encodeFrame(typ byte, metaRec any, parts ...[]byte) ([]byte, frameInfo, error) {
 	meta, err := json.Marshal(metaRec)
 	if err != nil {
 		return nil, frameInfo{}, fmt.Errorf("store: encode frame meta: %w", err)
 	}
-	if len(meta) > maxMetaLen || uint64(len(body)) > math.MaxUint32 {
-		return nil, frameInfo{}, fmt.Errorf("store: frame too large (%d meta bytes, %d body bytes)", len(meta), len(body))
+	var bodyLen uint64
+	for _, p := range parts {
+		bodyLen += uint64(len(p))
 	}
-	info := frameInfo{typ: typ, metaLen: uint32(len(meta)), bodyLen: uint32(len(body))}
-	return appendFrame(nil, typ, meta, body), info, nil
+	if len(meta) > maxMetaLen || bodyLen > math.MaxUint32 {
+		return nil, frameInfo{}, fmt.Errorf("store: frame too large (%d meta bytes, %d body bytes)", len(meta), bodyLen)
+	}
+	info := frameInfo{typ: typ, metaLen: uint32(len(meta)), bodyLen: uint32(bodyLen)}
+	frame := make([]byte, 0, info.end())
+	frame = append(frame, frameMagic[:]...)
+	frame = append(frame, typ)
+	frame = binary.LittleEndian.AppendUint32(frame, info.metaLen)
+	frame = binary.LittleEndian.AppendUint32(frame, info.bodyLen)
+	frame = append(frame, meta...)
+	for _, p := range parts {
+		frame = append(frame, p...)
+	}
+	sum := sha256.Sum256(frame)
+	return append(frame, sum[:]...), info, nil
 }
 
 // frameInfo describes one decoded frame's position inside the log.

@@ -184,6 +184,19 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if info.typ != typ || int(info.bodyLen) != len(body) || info.end() != int64(len(frame)) {
 			t.Fatalf("decode mismatch: %+v vs typ %c body %d len %d", info, typ, len(body), len(frame))
 		}
+		// The same body cut into parts, some empty, encodes the same frame.
+		parts := cutParts(uint64(flip)<<8|uint64(typSel), body)
+		split, splitInfo, err := encodeFrame(typ, metaRec, parts...)
+		if err != nil {
+			t.Fatalf("encode in %d parts: %v", len(parts), err)
+		}
+		if !bytes.Equal(split, frame) || splitInfo != info {
+			t.Fatalf("body in %d parts encodes a different frame: %+v vs %+v", len(parts), splitInfo, info)
+		}
+		if got, ok := decodeFrame(split, 0); !ok || got != splitInfo {
+			t.Fatalf("multi-part frame decodes to %+v (ok %v), encodeFrame said %+v", got, ok, splitInfo)
+		}
+
 		gotBody := frame[info.bodyOff() : info.bodyOff()+int64(info.bodyLen)]
 		if !bytes.Equal(gotBody, body) {
 			t.Fatal("body bytes not a fixed point")

@@ -383,6 +383,13 @@ func (s *Store) append(frame []byte) (int64, error) {
 // key (last append wins). The meta's Key, StoredAt and Size fields are
 // stamped by the store; everything else is the caller's.
 func (s *Store) Put(key string, payload []byte, m Meta) error {
+	return s.PutParts(key, m, payload)
+}
+
+// PutParts is Put for a payload given as parts, concatenated in order. The
+// parts are copied once, into the frame, so a caller holding a payload in
+// pieces need not join them first.
+func (s *Store) PutParts(key string, m Meta, parts ...[]byte) error {
 	if key == "" {
 		return errors.New("store: empty key")
 	}
@@ -393,8 +400,11 @@ func (s *Store) Put(key string, payload []byte, m Meta) error {
 	}
 	m.Key = key
 	m.StoredAt = s.now().UTC()
-	m.Size = int64(len(payload))
-	frame, info, err := encodeFrame(frameEntry, &m, payload)
+	m.Size = 0
+	for _, p := range parts {
+		m.Size += int64(len(p))
+	}
+	frame, info, err := encodeFrame(frameEntry, &m, parts...)
 	if err != nil {
 		return err
 	}

@@ -343,11 +343,67 @@ func TestEncodeFrameInfoMatchesDecode(t *testing.T) {
 			if !ok || got != info {
 				t.Fatalf("case %d type %c: encodeFrame's index entry %+v, decodeFrame's %+v (ok %v)", i, rec.typ, info, got, ok)
 			}
+			// The same body in parts: the same frame, sized exactly.
+			parts := cutParts(r.Uint64(), rec.body)
+			split, splitInfo, err := encodeFrame(rec.typ, rec.meta, parts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(split, frame) || splitInfo != info || cap(split) != len(split) {
+				t.Fatalf("case %d type %c: body in %d parts encodes a different frame (%d bytes, cap %d, %+v; want %d bytes, %+v)",
+					i, rec.typ, len(parts), len(split), cap(split), splitInfo, len(frame), info)
+			}
 		}
 	}
 	if _, _, err := encodeFrame(frameTombstone, &tombRecord{Key: strings.Repeat("k", maxMetaLen)}, nil); err == nil {
 		t.Fatal("oversized metadata encoded")
 	}
+}
+
+// TestPutPartsMatchesPut: an entry stored in parts is the entry Put stores
+// for their concatenation — the same payload, size and log bytes.
+func TestPutPartsMatchesPut(t *testing.T) {
+	dir := t.TempDir()
+	whole, split := openTest(t, filepath.Join(dir, "whole.store")), openTest(t, filepath.Join(dir, "split.store"))
+	for i := 0; i < 20; i++ {
+		key, payload, m := testEntry(i)
+		if err := whole.Put(key, payload, m); err != nil {
+			t.Fatal(err)
+		}
+		if err := split.PutParts(key, m, cutParts(uint64(i), payload)...); err != nil {
+			t.Fatal(err)
+		}
+		got, err := split.Get(key)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("entry %d: %q, %v", i, got, err)
+		}
+		if st, _ := split.Stat(key); st.Size != int64(len(payload)) {
+			t.Fatalf("entry %d: size %d, want %d", i, st.Size, len(payload))
+		}
+	}
+	whole.Close()
+	split.Close()
+	a, errA := os.ReadFile(whole.Path())
+	b, errB := os.ReadFile(split.Path())
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Fatalf("logs differ (%d vs %d bytes; %v, %v)", len(a), len(b), errA, errB)
+	}
+}
+
+// cutParts splits body into parts at random cut points, empty parts
+// included: cutting a body anywhere must not change the frame that holds
+// it.
+func cutParts(seed uint64, body []byte) [][]byte {
+	r := xrand.New(seed)
+	var parts [][]byte
+	for k := r.IntN(6); k > 0; k-- {
+		n := r.IntN(len(body) + 1)
+		if r.IntN(3) == 0 {
+			n = 0
+		}
+		parts, body = append(parts, body[:n]), body[n:]
+	}
+	return append(parts, body)
 }
 
 // TestPutRejectsOversizedMetaWithoutWriting: an entry whose metadata

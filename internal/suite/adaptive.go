@@ -1,7 +1,6 @@
 package suite
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -80,7 +79,7 @@ func roundExec(ctx context.Context, suiteName string, p Plan, workers int, cache
 					// the chain — refresh them in place.
 					r.Round = round
 					r.Parent = parent
-					if err := cache.storeRaw(key, r); err != nil {
+					if err := cache.storeRaw(key, r.entryHead, sectionOf(r.csv), sectionOf(r.jsonl)); err != nil {
 						return nil, err
 					}
 				}
@@ -104,13 +103,13 @@ func roundExec(ctx context.Context, suiteName string, p Plan, workers int, cache
 		// by rs), the round's records go to a CSV and a JSONL sink in
 		// memory: their bytes are the round's cache entry, identical to
 		// what a static campaign of this design writes.
-		var csv, jsonl bytes.Buffer
+		var sec sections
 		var sinks []runner.RecordSink
 		if rs != nil {
 			sinks = []runner.RecordSink{rs}
 		}
 		if cache != nil {
-			sinks = append(sinks, runner.NewCSVSink(&csv), runner.NewJSONLSink(&jsonl))
+			sinks = append(sinks, runner.NewCSVSink(&sec.csv), runner.NewJSONLSink(&sec.jsonl))
 		}
 		run, err := runner.Run(ctx, d, p.Factory, runner.Config{Workers: workers, Sinks: sinks, Progress: progress})
 		if err != nil {
@@ -120,11 +119,9 @@ func roundExec(ctx context.Context, suiteName string, p Plan, workers int, cache
 			env = run.Env
 		}
 		if cache != nil {
-			if err := cache.storeRaw(key, &rawEntry{
-				entryHead: entryHead{Suite: suiteName, Campaign: p.Campaign.Name, Engine: p.Campaign.Engine,
-					Round: round, Parent: parent, Seed: p.Campaign.Seed, Env: run.Env, Records: len(run.Records)},
-				csv: csv.Bytes(), jsonl: jsonl.Bytes(),
-			}); err != nil {
+			head := entryHead{Suite: suiteName, Campaign: p.Campaign.Name, Engine: p.Campaign.Engine,
+				Round: round, Parent: parent, Seed: p.Campaign.Seed, Env: run.Env, Records: len(run.Records)}
+			if err := cache.storeRaw(key, head, sec.csv, sec.jsonl); err != nil {
 				return nil, err
 			}
 		}

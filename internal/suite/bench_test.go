@@ -1,11 +1,15 @@
 package suite
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"opaquebench/internal/runner"
 )
 
 // BenchmarkSuiteWarmReplay measures a fully warm adaptive suite run: every
@@ -116,5 +120,39 @@ func BenchmarkBuildPlans(b *testing.B) {
 		if _, err := BuildPlans(spec); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkShardedLightCampaigns is the runner rung of the light-cold
+// workload: one op runs the designs of its four light campaigns (lightSpecJSON)
+// through runner.Run into CSV and JSONL sinks writing to memory, as a cold
+// suite run does, with no planning, cache or files. Microsecond trials make
+// the sharded schedule's per-trial overhead — handoff, encoding, ordered
+// writes — the cost it shows; comparing workers=1 with workers=2 shows
+// whether a second worker pays for itself.
+func BenchmarkShardedLightCampaigns(b *testing.B) {
+	spec, err := Parse([]byte(lightSpecJSON), "light.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	plans, err := BuildPlans(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var csv, jsonl bytes.Buffer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, p := range plans {
+					csv.Reset()
+					jsonl.Reset()
+					sinks := []runner.RecordSink{runner.NewCSVSink(&csv), runner.NewJSONLSink(&jsonl)}
+					if _, err := runner.Run(context.Background(), p.Design, p.Factory, runner.Config{Workers: workers, Sinks: sinks}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

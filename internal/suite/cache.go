@@ -236,19 +236,51 @@ func (e *Entry) head() entryHead {
 		Parent: e.Parent, Seed: e.Seed, Env: e.Env, Records: len(e.Records)}
 }
 
-// encode renders the format-2 payload.
-func (r *rawEntry) encode() ([]byte, error) {
-	r.CSVBytes, r.JSONLBytes = len(r.csv), len(r.jsonl)
-	head, err := json.Marshal(&r.entryHead)
+// marshal renders a format-2 payload's head, the magic line and the head
+// line, for sections of csvBytes and jsonlBytes. The payload is the head
+// followed by the CSV and JSONL sections.
+func (h entryHead) marshal(csvBytes, jsonlBytes int) ([]byte, error) {
+	h.CSVBytes, h.JSONLBytes = csvBytes, jsonlBytes
+	head, err := json.Marshal(&h)
 	if err != nil {
 		return nil, err
 	}
-	data := make([]byte, 0, len(entryMagic)+len(head)+1+len(r.csv)+len(r.jsonl))
+	data := make([]byte, 0, len(entryMagic)+len(head)+1)
 	data = append(data, entryMagic...)
 	data = append(data, head...)
-	data = append(data, '\n')
-	data = append(data, r.csv...)
-	return append(data, r.jsonl...), nil
+	return append(data, '\n'), nil
+}
+
+// section is one body section of a format-2 payload, held as chunks in
+// order. As an io.Writer it captures a cold run's stream: each chunk is
+// allocated once, at a size that grows with the stream up to 64 KB, so
+// capturing never copies bytes it already holds (a growing bytes.Buffer
+// copies its contents about twice over), and the chunks go to the store
+// as parts of the payload.
+type section struct {
+	chunks [][]byte
+	n      int
+}
+
+// sectionOf is the section holding b.
+func sectionOf(b []byte) section {
+	return section{chunks: [][]byte{b}, n: len(b)}
+}
+
+func (s *section) Write(p []byte) (int, error) {
+	s.n += len(p)
+	for rest := p; len(rest) > 0; {
+		last := len(s.chunks) - 1
+		if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
+			s.chunks = append(s.chunks, make([]byte, 0, min(64<<10, max(4<<10, s.n-len(rest)))))
+			last++
+		}
+		c := s.chunks[last]
+		k := min(len(rest), cap(c)-len(c))
+		s.chunks[last] = append(c, rest[:k]...)
+		rest = rest[k:]
+	}
+	return len(p), nil
 }
 
 // parseRawEntry splits a format-2 payload without decoding any record. It
@@ -377,18 +409,22 @@ func (c *Cache) Store(key string, e *Entry) error {
 	if err != nil {
 		return fmt.Errorf("suite: cache encode: %w", err)
 	}
-	return c.storeRaw(key, r)
+	return c.storeRaw(key, r.entryHead, sectionOf(r.csv), sectionOf(r.jsonl))
 }
 
 // storeRaw writes a format-2 entry for key as one checksummed store frame,
 // whose recovery rule means a crashed writer never leaves a torn entry
-// behind.
-func (c *Cache) storeRaw(key string, r *rawEntry) error {
-	data, err := r.encode()
+// behind. The head and the sections' chunks go to the store as parts, so
+// the payload is copied once, into the frame, and never assembled on its
+// own.
+func (c *Cache) storeRaw(key string, h entryHead, csv, jsonl section) error {
+	head, err := h.marshal(csv.n, jsonl.n)
 	if err != nil {
 		return fmt.Errorf("suite: cache encode: %w", err)
 	}
-	if err := c.st.Put(key, data, r.meta()); err != nil {
+	parts := make([][]byte, 0, 1+len(csv.chunks)+len(jsonl.chunks))
+	parts = append(append(append(parts, head), csv.chunks...), jsonl.chunks...)
+	if err := c.st.PutParts(key, h.meta(), parts...); err != nil {
 		return fmt.Errorf("suite: cache store: %w", err)
 	}
 	return nil

@@ -408,3 +408,40 @@ func TestAdaptiveRoundRefreshesStaticEntry(t *testing.T) {
 		t.Errorf("refreshing the head changed the entry's sections")
 	}
 }
+
+// TestSectionCapturesStream: a section holds exactly the bytes written to
+// it, in order, whatever the write sizes, in chunks that are never
+// reallocated once full and never exceed 64 KB.
+func TestSectionCapturesStream(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 50; trial++ {
+		var sec section
+		var want []byte
+		for i := r.Intn(60); i > 0; i-- {
+			p := make([]byte, r.Intn(20000))
+			r.Read(p)
+			if n, err := sec.Write(p); n != len(p) || err != nil {
+				t.Fatalf("Write(%d bytes) = %d, %v", len(p), n, err)
+			}
+			want = append(want, p...)
+		}
+		if got := bytes.Join(sec.chunks, nil); !bytes.Equal(got, want) || sec.n != len(want) {
+			t.Fatalf("trial %d: section holds %d bytes (n %d), want %d", trial, len(got), sec.n, len(want))
+		}
+		for i, c := range sec.chunks {
+			if cap(c) > 64<<10 || (i < len(sec.chunks)-1 && len(c) != cap(c)) {
+				t.Fatalf("trial %d: chunk %d holds %d of %d bytes", trial, i, len(c), cap(c))
+			}
+		}
+	}
+}
+
+// encode renders a format-2 payload whole: the head followed by the two
+// sections, the bytes storeRaw hands the store as parts.
+func (r *rawEntry) encode() ([]byte, error) {
+	head, err := r.marshal(len(r.csv), len(r.jsonl))
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Join([][]byte{head, r.csv, r.jsonl}, nil), nil
+}

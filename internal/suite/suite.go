@@ -29,7 +29,6 @@
 package suite
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -365,7 +364,7 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 			}
 			defer release(workers)
 			logf("suite: %s: miss — running %d trials on %d workers", cr.Name, p.Design.Size(), workers)
-			run, raw, err := execute(ctx, p, workers, specHash, opts.BaseDir, progressFor(p.Campaign.Name), cache != nil)
+			run, sec, err := execute(ctx, p, workers, specHash, opts.BaseDir, progressFor(p.Campaign.Name), cache != nil)
 			if err != nil {
 				cr.Err = campErr(p, err)
 				return
@@ -373,9 +372,9 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 			cr.Trials = len(run.Records)
 			cr.Records = len(run.Records)
 			if cache != nil {
-				raw.entryHead = entryHead{Suite: spec.Name, Campaign: p.Campaign.Name, Engine: p.Campaign.Engine,
+				head := entryHead{Suite: spec.Name, Campaign: p.Campaign.Name, Engine: p.Campaign.Engine,
 					Seed: p.Campaign.Seed, Env: run.Env, Records: len(run.Records)}
-				if err := cache.storeRaw(p.Key, raw); err != nil {
+				if err := cache.storeRaw(p.Key, head, sec.csv, sec.jsonl); err != nil {
 					cr.Err = campErr(p, err)
 				}
 			}
@@ -423,12 +422,17 @@ func suiteEnv(spec *Spec, res *Result) *meta.Environment {
 	return env
 }
 
+// sections is a cold run's copy of every byte its CSV and JSONL sinks
+// wrote: the body of the campaign's cache entry.
+type sections struct {
+	csv, jsonl section
+}
+
 // execute runs one campaign cold through the parallel runner, streaming
 // into its sinks. With keep set it also returns the sections of the
-// campaign's cache entry: a copy of every byte the CSV and JSONL sinks
-// wrote, the JSONL sink running even when the campaign names no JSONL
-// file. The caller fills in the entry head.
-func execute(ctx context.Context, p Plan, workers int, specHash, baseDir string, progress func(done, total int), keep bool) (_ *core.Results, _ *rawEntry, err error) {
+// campaign's cache entry, the JSONL sink running even when the campaign
+// names no JSONL file.
+func execute(ctx context.Context, p Plan, workers int, specHash, baseDir string, progress func(done, total int), keep bool) (_ *core.Results, _ *sections, err error) {
 	out, err := openOutputs(p.Campaign, baseDir)
 	if err != nil {
 		return nil, nil, err
@@ -438,9 +442,11 @@ func execute(ctx context.Context, p Plan, workers int, specHash, baseDir string,
 			err = cerr
 		}
 	}()
-	var csv, jsonl *bytes.Buffer
+	var sec *sections
+	var csv, jsonl *section
 	if keep {
-		csv, jsonl = new(bytes.Buffer), new(bytes.Buffer)
+		sec = &sections{}
+		csv, jsonl = &sec.csv, &sec.jsonl
 	}
 	run, err := runner.Run(ctx, p.Design, p.Factory, runner.Config{Workers: workers, Sinks: out.sinks(csv, jsonl), Progress: progress})
 	if err != nil {
@@ -449,10 +455,7 @@ func execute(ctx context.Context, p Plan, workers int, specHash, baseDir string,
 	if err := writeCampaignEnv(p, run.Env, "miss", specHash, baseDir); err != nil {
 		return nil, nil, err
 	}
-	if !keep {
-		return run, nil, nil
-	}
-	return run, &rawEntry{csv: csv.Bytes(), jsonl: jsonl.Bytes()}, nil
+	return run, sec, nil
 }
 
 // replayHit serves a static campaign from its cache entry: the entry's CSV
@@ -520,10 +523,10 @@ func openOutputs(c Campaign, baseDir string) (*outputs, error) {
 
 // sinks returns the campaign's record sinks: a CSV sink on the CSV file
 // (draining to io.Discard when there is none, which keeps the record path
-// uniform) and a JSONL sink on the JSONL file. A non-nil buffer receives a
-// copy of its stream's bytes, and a JSONL buffer makes the JSONL sink run
+// uniform) and a JSONL sink on the JSONL file. A non-nil section receives a
+// copy of its stream's bytes, and a JSONL section makes the JSONL sink run
 // even without a file.
-func (o *outputs) sinks(csv, jsonl *bytes.Buffer) []runner.RecordSink {
+func (o *outputs) sinks(csv, jsonl *section) []runner.RecordSink {
 	w := tee(o.csv, csv)
 	if w == nil {
 		w = io.Discard
@@ -535,9 +538,9 @@ func (o *outputs) sinks(csv, jsonl *bytes.Buffer) []runner.RecordSink {
 	return sinks
 }
 
-// tee is the writer one output stream goes to: its file, its buffer, both,
-// or nil when neither is set.
-func tee(f *os.File, buf *bytes.Buffer) io.Writer {
+// tee is the writer one output stream goes to: its file, its section,
+// both, or nil when neither is set.
+func tee(f *os.File, buf *section) io.Writer {
 	switch {
 	case f != nil && buf != nil:
 		return io.MultiWriter(f, buf)
